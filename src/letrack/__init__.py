@@ -16,6 +16,7 @@ from .association import (
     bisoftmax_scores,
     cem_gate,
     run_sequence,
+    track_sequence,
     update_embedding,
 )
 from .classification import (
@@ -131,6 +132,7 @@ __all__ = [
     "save_detections",
     "save_tracks",
     "track_label",
+    "track_sequence",
     "update_embedding",
     "validate_rle",
     "validate_sequence",

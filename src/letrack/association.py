@@ -28,8 +28,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .assignment import hungarian_max
-from .classification import CategoryBank, classify_detection, vote
+from .classification import CategoryBank, classify_detection, track_label, vote, vote_fraction
 from .core import Detection, InternalInvariantError, SequenceMeta, TrackState, TrackStatus
+from .io import SequenceDetections, SequenceTracks, TrackObservation, TrackRecord
 
 __all__ = [
     "Diagnostics",
@@ -38,8 +39,8 @@ __all__ = [
     "TrackerConfig",
     "bisoftmax_scores",
     "cem_gate",
-    "hungarian_max",
     "run_sequence",
+    "track_sequence",
     "update_embedding",
 ]
 
@@ -306,9 +307,40 @@ def run_sequence(
     detection list where the input has none, so the lost-track window ages
     in real frames rather than in frames-with-detections.
     """
-    frame_map: dict[int, Sequence[Detection]] = dict(
-        frames.items() if isinstance(frames, Mapping) else frames
-    )
+    return _run(meta, frames, cfg, bank).tracks
+
+
+def track_sequence(
+    seq: SequenceDetections,
+    cfg: TrackerConfig | None = None,
+    bank: CategoryBank | None = None,
+) -> tuple[SequenceTracks, Diagnostics]:
+    """Track one sequence as run_sequence does, into tracks-file records.
+
+    Only with a bank are tracks labeled (``track_label``, ``vote_fraction``).
+    """
+    tracker = _run(seq.meta, [(fr.index, fr.detections) for fr in seq.frames], cfg, bank)
+    records = [
+        TrackRecord(
+            track_id=st.track_id,
+            observations=[
+                TrackObservation(frame=f, box=d.box, mask=d.mask) for f, d in st.observations
+            ],
+            category_id=track_label(st) if st.category_votes else None,
+            score=vote_fraction(st) if st.category_votes else None,
+        )
+        for st in tracker.tracks
+    ]
+    return SequenceTracks(meta=seq.meta, tracks=records), tracker.diagnostics
+
+
+def _run(
+    meta: SequenceMeta,
+    frames: Mapping[int, Sequence[Detection]] | Iterable[tuple[int, Sequence[Detection]]],
+    cfg: TrackerConfig | None,
+    bank: CategoryBank | None,
+) -> Tracker:
+    frame_map = dict(frames.items() if isinstance(frames, Mapping) else frames)
     for idx in frame_map:
         if not (0 <= idx < meta.num_frames):
             raise ValueError(
@@ -317,4 +349,4 @@ def run_sequence(
     tracker = Tracker(cfg, bank)
     for idx in range(meta.num_frames):
         tracker.step(idx, frame_map.get(idx, ()))
-    return tracker.tracks
+    return tracker

@@ -78,7 +78,7 @@ class CategoryBank:
                         f"{_UNIT_NORM_TOL} of 1"
                     )
         self._entries: dict[int, CategoryEntry] = {e.category_id: e for e in ordered}
-        self._dim = dim
+        self._matrix: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -102,17 +102,21 @@ class CategoryBank:
         return [cid for cid, e in self._entries.items() if e.split == split]
 
     def prototype_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, prototypes) with rows in ascending-id order.
+        """Read-only (ids, prototypes), rows in ascending-id order, built once.
 
         Raises when any category lacks a prototype; classification needs a
         full bank even though evaluation does not.
         """
-        missing = [cid for cid, e in self._entries.items() if e.prototype is None]
-        if missing:
-            raise ValueError(f"categories without prototypes cannot classify: {missing}")
-        ids = np.array(list(self._entries), dtype=np.int64)
-        protos = np.stack([np.asarray(e.prototype, np.float64) for e in self._entries.values()])
-        return ids, protos
+        if self._matrix is None:
+            missing = [cid for cid, e in self._entries.items() if e.prototype is None]
+            if missing:
+                raise ValueError(f"categories without prototypes cannot classify: {missing}")
+            ids = np.array(list(self._entries), dtype=np.int64)
+            protos = np.stack([np.asarray(e.prototype, np.float64) for e in self._entries.values()])
+            ids.setflags(write=False)
+            protos.setflags(write=False)
+            self._matrix = ids, protos
+        return self._matrix
 
 
 def classify_detection(

@@ -13,9 +13,8 @@ system failures; 3 internal invariant violations or unexpected errors.
 
 Human-facing chatter (warnings, progress, validation verdicts) goes to
 stderr; stdout carries only the eval score table.  Output files are
-rendered in full before anything is opened, and a failed write removes
-whatever this invocation managed to create, so a nonzero exit never leaves
-an output file behind.
+rendered in full before anything is opened and written all-or-nothing, so
+a nonzero exit leaves no new file behind and every existing file as it was.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ import argparse
 import os
 import sys
 import traceback
+from collections import Counter
 from typing import Any, Callable
 
-from .association import Tracker, TrackerConfig
-from .classification import track_label, vote_fraction
+from .association import TrackerConfig, track_sequence
 from .core import InternalInvariantError, SequenceMeta
 from .io import (
     ConfigError,
@@ -43,6 +42,7 @@ from .io import (
     load_flat_config,
     load_tracks,
     tracks_to_jsonable,
+    write_json_files,
 )
 from .maskops import RleMask, mask_to_box, validate_rle
 from .metrics import DEFAULT_ALPHAS, EvalConfig, evaluate
@@ -68,24 +68,6 @@ def _warn(messages: list[str]) -> None:
         print(f"warning: {msg}", file=sys.stderr)
 
 
-def _write_files(pairs: list[tuple[str, Any]]) -> None:
-    """Render every payload, then write; on failure remove everything."""
-    rendered = [(path, dumps_canonical(obj) + "\n") for path, obj in pairs]
-    written: list[str] = []
-    try:
-        for path, text in rendered:
-            written.append(path)
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                f.write(text)
-    except BaseException:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        raise
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -101,42 +83,16 @@ def _cmd_track(args: argparse.Namespace) -> int:
     if args.config:
         cfg = TrackerConfig.from_mapping(load_flat_config(args.config))
 
-    def task(seq) -> tuple[SequenceTracks, dict[str, int]]:
-        tracker = Tracker(cfg, bank)
-        frame_map = {fr.index: fr.detections for fr in seq.frames}
-        for idx in range(seq.meta.num_frames):
-            tracker.step(idx, frame_map.get(idx, ()))
-        tracks = []
-        for st in tracker.tracks:
-            obs = [
-                TrackObservation(frame=f, box=d.box, mask=d.mask)
-                for f, d in st.observations
-            ]
-            category_id = score = None
-            if bank is not None and st.category_votes:
-                category_id = track_label(st)
-                score = vote_fraction(st)
-            tracks.append(
-                TrackRecord(
-                    track_id=st.track_id,
-                    observations=obs,
-                    category_id=category_id,
-                    score=score,
-                )
-            )
-        return SequenceTracks(meta=seq.meta, tracks=tracks), tracker.diagnostics.as_dict()
-
-    results = map_ordered(task, sequences)
+    results = map_ordered(lambda seq: track_sequence(seq, cfg, bank), sequences)
     out_sequences = [seq for seq, _ in results]
-    totals: dict[str, int] = {}
+    totals: Counter[str] = Counter()
     for _, diag in results:
-        for key, value in diag.items():
-            totals[key] = totals.get(key, 0) + value
+        totals.update(diag.as_dict())
     for key, value in sorted(totals.items()):
         if value:
             print(f"diagnostic: {key} = {value}", file=sys.stderr)
 
-    _write_files([(args.out, tracks_to_jsonable(out_sequences))])
+    write_json_files([(args.out, dumps_canonical(tracks_to_jsonable(out_sequences)))])
     n_tracks = sum(len(s.tracks) for s in out_sequences)
     print(
         f"tracked {len(out_sequences)} sequence(s), {n_tracks} track(s) -> {args.out}",
@@ -170,7 +126,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     row_label = os.path.splitext(os.path.basename(args.pred))[0] or "pred"
     print(report.format_table(row_label=row_label))
     if args.report:
-        _write_files([(args.report, report.to_jsonable())])
+        write_json_files([(args.report, dumps_canonical(report.to_jsonable()))])
         print(f"report -> {args.report}", file=sys.stderr)
     return 0
 
@@ -180,11 +136,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.config:
         cfg = SynthConfig.from_mapping(load_flat_config(args.config))
     result = generate(cfg)
-    _write_files(
+    write_json_files(
         [
-            (args.out_gt, tracks_to_jsonable(result.gt)),
-            (args.out_dets, detections_to_jsonable(result.detections)),
-            (args.out_bank, bank_to_jsonable(result.bank)),
+            (args.out_gt, dumps_canonical(tracks_to_jsonable(result.gt))),
+            (args.out_dets, dumps_canonical(detections_to_jsonable(result.detections))),
+            (args.out_bank, dumps_canonical(bank_to_jsonable(result.bank))),
         ]
     )
     print(
@@ -293,7 +249,7 @@ def _cmd_import_burst(args: argparse.Namespace) -> int:
     _warn(warnings)
     if not out_sequences:
         raise SchemaError([f"{args.input}: no convertible sequences"])
-    _write_files([(args.out, tracks_to_jsonable(out_sequences))])
+    write_json_files([(args.out, dumps_canonical(tracks_to_jsonable(out_sequences)))])
     print(
         f"imported {len(out_sequences)} sequence(s) -> {args.out}"
         + (f" ({len(warnings)} warning(s))" if warnings else ""),

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -49,6 +51,7 @@ __all__ = [
     "save_tracks",
     "tracks_from_jsonable",
     "tracks_to_jsonable",
+    "write_json_files",
 ]
 
 
@@ -116,10 +119,31 @@ def _dump(obj: Any, out: list[str]) -> None:
         raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def _write_canonical(path: str, obj: Any) -> None:
-    data = dumps_canonical(obj) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(data)
+def write_json_files(rendered: list[tuple[str, str]]) -> None:
+    """Write each (path, canonical JSON text) pair, with a trailing newline.
+
+    Each text goes to a temp file beside its target; once all are written,
+    each is moved into place with ``os.replace``.  A failed write removes
+    only these temp files, so no new file is left and no existing one is
+    touched.  A target that is not a regular file (say /dev/stdout) is
+    written in place, as a rename would replace the device or pipe itself.
+    """
+    moves: list[tuple[str, str]] = []
+    try:
+        for i, (path, text) in enumerate(rendered):
+            in_place = os.path.exists(path) and not os.path.isfile(path)
+            tmp = path if in_place else f"{path}.{os.getpid()}.{i}.tmp"
+            with open(tmp, "w" if in_place else "x", encoding="utf-8", newline="") as f:
+                if not in_place:
+                    moves.append((tmp, path))
+                f.write(text + "\n")
+        for tmp, path in moves:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in moves:
+            with suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 def _reject_constant(name: str) -> None:
@@ -662,7 +686,7 @@ def load_detections(path: str, lax: bool = False) -> tuple[list[SequenceDetectio
 
 
 def save_detections(path: str, sequences: list[SequenceDetections]) -> None:
-    _write_canonical(path, detections_to_jsonable(sequences))
+    write_json_files([(path, dumps_canonical(detections_to_jsonable(sequences)))])
 
 
 def load_tracks(path: str, lax: bool = False) -> tuple[list[SequenceTracks], list[str]]:
@@ -670,7 +694,7 @@ def load_tracks(path: str, lax: bool = False) -> tuple[list[SequenceTracks], lis
 
 
 def save_tracks(path: str, sequences: list[SequenceTracks]) -> None:
-    _write_canonical(path, tracks_to_jsonable(sequences))
+    write_json_files([(path, dumps_canonical(tracks_to_jsonable(sequences)))])
 
 
 def load_bank(path: str, lax: bool = False) -> tuple[CategoryBank, list[str]]:
@@ -678,7 +702,7 @@ def load_bank(path: str, lax: bool = False) -> tuple[CategoryBank, list[str]]:
 
 
 def save_bank(path: str, bank: CategoryBank) -> None:
-    _write_canonical(path, bank_to_jsonable(bank))
+    write_json_files([(path, dumps_canonical(bank_to_jsonable(bank)))])
 
 
 # ---------------------------------------------------------------------------

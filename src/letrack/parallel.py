@@ -1,18 +1,14 @@
-"""Optional thread parallelism with a determinism guarantee.
+"""In-order mapping over independent work units.
 
-Work units must be pure; results come back in input order and every
-reduction downstream runs in that fixed order, so output bytes cannot
-depend on the worker count.  LETRACK_THREADS picks the count (0 or unset
-means auto).
+Sequences are tracked and scored one after another in the calling thread;
+results come back in input order and every reduction downstream runs in
+that fixed order.  The work is bound by the interpreter lock, and a thread
+pool measured slower than this loop, so there is no worker-count option.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
-
-from .io import ConfigError
 
 __all__ = ["map_ordered", "thread_count"]
 
@@ -21,25 +17,10 @@ _R = TypeVar("_R")
 
 
 def thread_count() -> int:
-    raw = os.environ.get("LETRACK_THREADS", "0").strip() or "0"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"LETRACK_THREADS must be a non-negative integer, got {raw!r}"
-        ) from None
-    if n < 0:
-        raise ConfigError(f"LETRACK_THREADS must be a non-negative integer, got {n}")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+    """Number of threads map_ordered runs its work in: always 1."""
+    return 1
 
 
 def map_ordered(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-    """Apply fn to every item, possibly in threads; results in input order."""
-    work = list(items)
-    n = thread_count()
-    if n <= 1 or len(work) <= 1:
-        return [fn(x) for x in work]
-    with ThreadPoolExecutor(max_workers=min(n, len(work))) as pool:
-        return list(pool.map(fn, work))
+    """Apply fn to every item in the calling thread; results in input order."""
+    return [fn(x) for x in items]

@@ -9,7 +9,7 @@ PASS line (or fails with details) so the whole gate reads as a checklist:
  4. assignment solver agrees exactly with exhaustive enumeration
  5. mask run-length coding round-trips exactly and its IoU is exact
  6. the noise-free pipeline scores 1.0; dropped detections lower the mean
- 7. synth/track/eval bytes are identical across runs and thread counts
+ 7. synth/track/eval bytes are identical across repeated runs
  8. common/uncommon split arithmetic and the report column layout
  9. a 100-frame, 20-track mask sequence evaluates in under a second
 """
@@ -20,12 +20,8 @@ import time
 import numpy as np
 
 from letrack.assignment import hungarian_max
-from letrack.association import Tracker, TrackerConfig
-from letrack.classification import track_label, vote_fraction
+from letrack.association import track_sequence
 from letrack.io import (
-    SequenceTracks,
-    TrackObservation,
-    TrackRecord,
     bank_to_jsonable,
     detections_to_jsonable,
     dumps_canonical,
@@ -191,32 +187,7 @@ def test_5_rle_roundtrip_and_exact_iou():
 
 
 def _run_tracker(detections, bank):
-    out = []
-    for seq in detections:
-        tracker = Tracker(TrackerConfig(), bank)
-        frame_map = {fr.index: fr.detections for fr in seq.frames}
-        for idx in range(seq.meta.num_frames):
-            tracker.step(idx, frame_map.get(idx, ()))
-        tracks = []
-        for st in tracker.tracks:
-            obs = [
-                TrackObservation(frame=f, box=d.box, mask=d.mask)
-                for f, d in st.observations
-            ]
-            category_id = score = None
-            if bank is not None and st.category_votes:
-                category_id = track_label(st)
-                score = vote_fraction(st)
-            tracks.append(
-                TrackRecord(
-                    track_id=st.track_id,
-                    observations=obs,
-                    category_id=category_id,
-                    score=score,
-                )
-            )
-        out.append(SequenceTracks(meta=seq.meta, tracks=tracks))
-    return out
+    return [track_sequence(seq, bank=bank)[0] for seq in detections]
 
 
 def test_6_noise_free_pipeline_is_perfect_and_drops_hurt():
@@ -260,16 +231,11 @@ def _pipeline_bytes():
     return blobs
 
 
-def test_7_byte_determinism_across_runs_and_threads(monkeypatch):
-    monkeypatch.setenv("LETRACK_THREADS", "1")
+def test_7_byte_determinism_across_runs():
     first = _pipeline_bytes()
     assert _pipeline_bytes() == first, "repeated run changed bytes"
-    monkeypatch.setenv("LETRACK_THREADS", "4")
-    assert _pipeline_bytes() == first, "thread count changed bytes"
-    _pass(
-        "synth, tracker, and eval outputs are byte-identical across repeated "
-        "runs and across LETRACK_THREADS in {1, 4}"
-    )
+    assert _pipeline_bytes() == first, "third run changed bytes"
+    _pass("synth, tracker, and eval outputs are byte-identical across repeated runs")
 
 
 def test_8_split_arithmetic_and_table_layout():

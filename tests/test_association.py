@@ -10,9 +10,12 @@ from letrack.association import (
     bisoftmax_scores,
     cem_gate,
     run_sequence,
+    track_sequence,
     update_embedding,
 )
+from letrack.classification import track_label, vote_fraction
 from letrack.core import TrackState, TrackStatus
+from letrack.synth import SynthConfig, generate
 
 from helpers import det, meta, two_split_bank, unit
 
@@ -349,6 +352,26 @@ def test_run_sequence_returns_dead_and_alive():
     assert len(tracks) == 2
     assert tracks[0].status is TrackStatus.DEAD
     assert tracks[1].status is TrackStatus.ACTIVE
+
+
+def test_track_sequence_records_match_run_sequence():
+    res = generate(SynthConfig(seed=2, num_frames=12, p_drop=0.2, p_fp=0.3, cls_noise_sigma=0.3))
+    (seq,) = res.detections
+    states = run_sequence(seq.meta, [(fr.index, fr.detections) for fr in seq.frames], bank=res.bank)
+
+    labeled, diagnostics = track_sequence(seq, bank=res.bank)
+    assert isinstance(diagnostics, Diagnostics)
+    assert labeled.meta == seq.meta
+    assert [(r.track_id, r.category_id, r.score) for r in labeled.tracks] == [
+        (st.track_id, track_label(st), vote_fraction(st)) for st in states
+    ]
+    assert [[(o.frame, o.box, o.mask) for o in r.observations] for r in labeled.tracks] == [
+        [(f, d.box, d.mask) for f, d in st.observations] for st in states
+    ]
+
+    unlabeled, _ = track_sequence(seq)
+    assert [r.track_id for r in unlabeled.tracks] == [st.track_id for st in states]
+    assert all(r.category_id is None and r.score is None for r in unlabeled.tracks)
 
 
 def test_tracker_is_deterministic():

@@ -45,6 +45,8 @@ def test_bank_sorts_and_indexes():
     ids, protos = bank.prototype_matrix()
     assert list(ids) == [2, 5]
     assert protos.shape == (2, 2)
+    assert bank.prototype_matrix()[1] is protos  # built once per bank
+    assert not ids.flags.writeable and not protos.flags.writeable
 
 
 def test_bank_rejects_duplicate_ids():

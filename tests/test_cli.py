@@ -4,7 +4,8 @@ import os
 import pytest
 
 from letrack.cli import main
-from letrack.io import load_tracks
+from letrack.io import load_tracks, save_bank, save_detections, save_tracks
+from letrack.synth import SynthConfig, generate
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +271,60 @@ def test_failed_write_cleans_up_earlier_outputs(synth_dir, tmp_path, capsys):
     assert rc == 2
     assert "io error:" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_keeps_existing_outputs(tmp_path, capsys):
+    existing = tmp_path / "gt.json"
+    existing.write_bytes(b"precious\n")
+    rc = main(
+        [
+            "synth",
+            "--out-gt", str(existing),
+            "--out-dets", str(tmp_path / "dets.json"),
+            "--out-bank", str(tmp_path / "no" / "such" / "bank.json"),
+        ]
+    )
+    assert rc == 2
+    assert existing.read_bytes() == b"precious\n"
+    assert os.listdir(tmp_path) == ["gt.json"]
+
+
+def _multi_sequence_run(d, capsys) -> dict[str, bytes]:
+    """synth inputs, track, eval closed and open: every output file and stdout."""
+    noise = dict(num_frames=12, p_drop=0.1, p_fp=0.3, app_noise_sigma=0.2, cls_noise_sigma=0.05)
+    # Uneven track counts, so the sequences differ in size and content.
+    results = [
+        generate(SynthConfig(seed=s, num_tracks=n, **noise)) for s, n in ((11, 2), (12, 7), (13, 4))
+    ]
+    save_tracks(str(d / "gt.json"), [seq for r in results for seq in r.gt])
+    save_detections(str(d / "dets.json"), [seq for r in results for seq in r.detections])
+    save_bank(str(d / "bank.json"), results[0].bank)
+    capsys.readouterr()
+    assert main(["track", "--detections", str(d / "dets.json"), "--bank", str(d / "bank.json"),
+                 "--out", str(d / "pred.json")]) == 0
+    outputs = {}
+    for mode in ("closed", "open"):
+        assert main(["eval", "--gt", str(d / "gt.json"), "--pred", str(d / "pred.json"),
+                     "--bank", str(d / "bank.json"), "--mode", mode,
+                     "--report", str(d / f"report_{mode}.json")]) == 0
+        outputs[f"stdout_{mode}"] = capsys.readouterr().out.encode()
+    outputs.update((p.name, p.read_bytes()) for p in sorted(d.iterdir()))
+    return outputs
+
+
+def test_multi_sequence_pipeline_is_byte_deterministic(tmp_path, capsys):
+    runs = []
+    for k in range(2):
+        d = tmp_path / f"run{k}"
+        d.mkdir()
+        runs.append(_multi_sequence_run(d, capsys))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]) == sorted(
+        ["bank.json", "dets.json", "gt.json", "pred.json", "report_closed.json",
+         "report_open.json", "stdout_closed", "stdout_open"]
+    )
+    pred, _ = load_tracks(str(tmp_path / "run0" / "pred.json"))
+    assert [s.meta.name for s in pred] == ["synth_0011", "synth_0012", "synth_0013"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from letrack.io import (
     save_detections,
     save_tracks,
     tracks_from_jsonable,
+    write_json_files,
 )
 from letrack.maskops import RleMask
 
@@ -160,6 +162,23 @@ def test_bank_roundtrip_fixed_point(tmp_path):
     assert warnings == []
     save_bank(p2, loaded)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_failed_write_keeps_existing_files_and_leaves_no_temp(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_bytes(b"precious\n")
+    # The lone surrogate fails to encode after the second temp file is open.
+    with pytest.raises(UnicodeEncodeError):
+        write_json_files([(str(old), "{}"), (str(new), '"\ud800"')])
+    assert old.read_bytes() == b"precious\n"
+    assert os.listdir(tmp_path) == ["old.json"]
+
+
+def test_non_regular_target_is_written_in_place(tmp_path):
+    sink = tmp_path / "sink"
+    sink.symlink_to(os.devnull)
+    write_json_files([(str(sink), "{}")])
+    assert sink.is_symlink() and os.listdir(tmp_path) == ["sink"]
 
 
 def test_loaded_values_survive():
