@@ -65,20 +65,19 @@ def hungarian_max(
     if not np.all(np.isfinite(s[feas])):
         raise ValueError("feasible scores must all be finite")
 
-    # Gated matrices are usually one-to-one already: every component is a
-    # single cell, taken iff its score is >= 0 (a zero-score cell is pure
-    # cardinality gain, a negative one only lowers the total).  This is
-    # exactly what the general path reduces to for 1x1 components.
-    if feas.sum(axis=1).max() <= 1 and feas.sum(axis=0).max() <= 1:
-        fr, fc = np.nonzero(feas)
-        return [
-            (int(i), int(j)) for i, j in zip(fr, fc) if s[i, j] >= 0.0
-        ]
-
-    pairs: list[tuple[int, int]] = []
-    for rows, cols in _components(feas):
-        pairs.extend(_solve_component(s, feas, rows, cols))
-    pairs.sort()
+    # A feasible cell alone in its row and its column is a component of its
+    # own: it is taken iff its score is >= 0 (a zero-score cell is pure
+    # cardinality gain, a negative one only lowers the total), which is
+    # exactly what the general path reduces to for 1x1 components.  Gated
+    # matrices are mostly such cells; only the rest go to the search.
+    single = feas & (feas.sum(axis=1) == 1)[:, None] & (feas.sum(axis=0) == 1)[None, :]
+    fr, fc = np.nonzero(single & (s >= 0.0))
+    pairs = list(zip(fr.tolist(), fc.tolist()))
+    rest = feas & ~single
+    if rest.any():
+        for rows, cols in _components(rest):
+            pairs.extend(_solve_component(s, rest, rows, cols))
+        pairs.sort()
     return pairs
 
 

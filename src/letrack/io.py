@@ -125,8 +125,9 @@ def write_json_files(rendered: list[tuple[str, str]]) -> None:
     Each text goes to a temp file beside its target; once all are written,
     each is moved into place with ``os.replace``.  A failed write removes
     only these temp files, so no new file is left and no existing one is
-    touched.  A target that is not a regular file (say /dev/stdout) is
-    written in place, as a rename would replace the device or pipe itself.
+    touched, and the ``OSError`` raised names the target, not its temp
+    file.  A target that is not a regular file (say /dev/stdout) is written
+    in place, as a rename would replace the device or pipe itself.
     """
     moves: list[tuple[str, str]] = []
     try:
@@ -139,10 +140,12 @@ def write_json_files(rendered: list[tuple[str, str]]) -> None:
                 f.write(text + "\n")
         for tmp, path in moves:
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp, _ in moves:
             with suppress(OSError):
                 os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc  # name the target
         raise
 
 

@@ -9,10 +9,12 @@ run is legal only at index 0.  ``sum(counts) == height * width`` always.
 Only the plain integer-array form is handled here.  The COCO compressed
 string encoding is a different artifact and is not part of this package.
 
-IoU is computed directly on the runs by merging the two run boundaries, so
-no bitmap is ever materialized.  Intersection and union are exact integer
-pixel counts and the returned ratio is their exact float64 quotient, which
-makes the result bit-identical to a brute-force bitmap computation.
+IoU is computed on bitmaps: each mask is decoded once and packed into
+64-bit words in column-major pixel order, and an intersection is the
+popcount of two masks' words ANDed together.  Intersection and union are
+exact integer pixel counts and the returned ratio is their exact float64
+quotient, which makes the result bit-identical to a brute-force bitmap
+computation.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "box_iou",
     "box_iou_matrix",
     "mask_iou",
+    "mask_iou_matrix",
     "mask_to_box",
     "rle_decode",
     "rle_encode",
@@ -89,50 +92,56 @@ def rle_encode(bitmap: np.ndarray) -> RleMask:
     return RleMask(size=(h, w), counts=tuple(int(r) for r in runs))
 
 
+def _decode_flat(mask: RleMask) -> np.ndarray:
+    """Column-major boolean pixels of a mask, checked against its size."""
+    h, w = mask.size
+    runs = np.asarray(mask.counts, dtype=np.int64)
+    got = int(runs.sum())
+    if got != h * w:
+        raise ValueError(
+            f"rle decode: counts sum to {got} pixels, expected {h * w} for size ({h}, {w})"
+        )
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs)
+
+
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Decode runs back into a (height, width) boolean bitmap."""
-    h, w = mask.size
-    total = h * w
-    got = sum(mask.counts)
-    if got != total:
-        raise ValueError(
-            f"rle decode: counts sum to {got} pixels, expected {total} for size ({h}, {w})"
-        )
-    flat = np.zeros(total, dtype=bool)
-    ends = np.cumsum(np.asarray(mask.counts, dtype=np.int64)) if mask.counts else np.zeros(0, np.int64)
-    for k in range(1, len(mask.counts), 2):
-        flat[ends[k - 1] : ends[k]] = True
-    return flat.reshape((h, w), order="F")
+    return _decode_flat(mask).reshape(mask.size, order="F")
+
+
+def _pack(masks: list[RleMask], total: int) -> np.ndarray:
+    """Bitmaps of same-size masks as rows of uint64 words, zero-padded."""
+    block = np.zeros((len(masks), -(-total // 64) * 64), dtype=bool)
+    for row, mask in zip(block, masks):
+        row[:total] = _decode_flat(mask)
+    return np.packbits(block, axis=1).view(np.uint64)
+
+
+def mask_iou_matrix(masks_a: list[RleMask], masks_b: list[RleMask]) -> np.ndarray:
+    """Pairwise mask IoU, shape (len(a), len(b)); every mask has one size.
+
+    Each side is decoded and packed once.  Intersections are exact integer
+    popcounts taken one row of ``a`` at a time, so the temporary holds
+    len(b) packed masks, never len(a) * len(b).  Both-empty pairs give 0.0.
+    """
+    sizes = {tuple(mask.size) for mask in [*masks_a, *masks_b]}
+    if len(sizes) > 1:
+        raise ValueError(f"mask size mismatch: {' vs '.join(map(str, sorted(sizes)))}")
+    h, w = sizes.pop() if sizes else (0, 0)
+    words_a, words_b = _pack(masks_a, h * w), _pack(masks_b, h * w)
+    area_a = np.bitwise_count(words_a).sum(axis=1, dtype=np.int64)
+    area_b = np.bitwise_count(words_b).sum(axis=1, dtype=np.int64)
+    out = np.zeros((len(masks_a), len(masks_b)), dtype=np.float64)
+    for i in range(len(masks_a)):
+        inter = np.bitwise_count(words_a[i] & words_b).sum(axis=1, dtype=np.int64)
+        union = area_a[i] + area_b - inter
+        np.divide(inter, union, out=out[i], where=union > 0)
+    return out
 
 
 def mask_iou(a: RleMask, b: RleMask) -> float:
-    """IoU of two masks of identical size, computed on the runs.
-
-    Both-empty masks give 0.0.  The merge walks the union of the two run
-    boundary sets; each merged segment is constant in both masks, so the
-    intersection/union pixel counts are exact integers.
-    """
-    if tuple(a.size) != tuple(b.size):
-        raise ValueError(f"mask size mismatch: {tuple(a.size)} vs {tuple(b.size)}")
-    h, w = a.size
-    total = h * w
-    if total == 0:
-        return 0.0
-    ca = np.asarray(a.counts, dtype=np.int64)
-    cb = np.asarray(b.counts, dtype=np.int64)
-    ends_a = np.cumsum(ca)
-    ends_b = np.cumsum(cb)
-    cuts = np.union1d(ends_a, ends_b)  # sorted, ends with `total`
-    starts = np.concatenate(([0], cuts[:-1]))
-    lengths = cuts - starts
-    # Run k covers [ends[k-1], ends[k]); odd k means set pixels.
-    val_a = (np.searchsorted(ends_a, starts, side="right") % 2) == 1
-    val_b = (np.searchsorted(ends_b, starts, side="right") % 2) == 1
-    inter = int(lengths[val_a & val_b].sum())
-    union = int(lengths[val_a | val_b].sum())
-    if union == 0:
-        return 0.0
-    return inter / union
+    """IoU of two masks of identical size; both-empty masks give 0.0."""
+    return float(mask_iou_matrix([a], [b])[0, 0])
 
 
 def box_iou(a: BBox, b: BBox) -> float:
@@ -169,34 +178,14 @@ def box_iou_matrix(boxes_a: list[BBox], boxes_b: list[BBox]) -> np.ndarray:
 
 
 def mask_to_box(mask: RleMask) -> BBox:
-    """Tightest integer-pixel box covering the set pixels.
-
-    Works on the runs without decoding.  A run that spans several columns
-    necessarily touches row 0 and row height-1, which bounds the row extent
-    without inspecting individual pixels.  Empty mask gives (0, 0, 0, 0).
-    """
-    h, _ = mask.size
-    ends = np.cumsum(np.asarray(mask.counts, dtype=np.int64)) if mask.counts else np.zeros(0, np.int64)
-    min_row: int | None = None
-    max_row: int | None = None
-    min_col: int | None = None
-    max_col: int | None = None
-    for k in range(1, len(mask.counts), 2):
-        start, end = int(ends[k - 1]), int(ends[k])
-        if end <= start:
-            continue
-        c0, c1 = start // h, (end - 1) // h
-        r0 = 0 if c1 > c0 else start % h
-        r1 = h - 1 if c1 > c0 else (end - 1) % h
-        min_col = c0 if min_col is None else min(min_col, c0)
-        max_col = c1 if max_col is None else max(max_col, c1)
-        min_row = r0 if min_row is None else min(min_row, r0)
-        max_row = r1 if max_row is None else max(max_row, r1)
-    if min_col is None:
+    """Tightest integer-pixel box covering the set pixels; empty gives (0, 0, 0, 0)."""
+    grid = rle_decode(mask)
+    rows, cols = np.flatnonzero(grid.any(axis=1)), np.flatnonzero(grid.any(axis=0))
+    if rows.size == 0:
         return BBox(0.0, 0.0, 0.0, 0.0)
     return BBox(
-        float(min_col),
-        float(min_row),
-        float(max_col - min_col + 1),
-        float(max_row - min_row + 1),
+        float(cols[0]),
+        float(rows[0]),
+        float(cols[-1] - cols[0] + 1),
+        float(rows[-1] - rows[0] + 1),
     )

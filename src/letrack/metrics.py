@@ -40,7 +40,7 @@ import numpy as np
 from .assignment import hungarian_max
 from .classification import SPLITS, CategoryBank
 from .io import SchemaError, SequenceTracks, TrackRecord
-from .maskops import box_iou_matrix, mask_iou, mask_to_box
+from .maskops import box_iou_matrix, mask_iou_matrix
 from .parallel import map_ordered
 
 __all__ = [
@@ -64,6 +64,11 @@ MODES = ("closed", "open")
 GEOMETRIES = ("mask", "box")
 
 
+def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
@@ -71,10 +76,8 @@ class EvalConfig:
     geometry: str = "mask"
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.geometry not in GEOMETRIES:
-            raise ValueError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
+        _check_choice("mode", self.mode, MODES)
+        _check_choice("geometry", self.geometry, GEOMETRIES)
         if len(self.alphas) == 0:
             raise ValueError("alphas must not be empty")
         prev = 0.0
@@ -124,15 +127,11 @@ def _observations_by_frame(track: TrackRecord) -> dict[int, Any]:
 def _build_pool(
     gt_tracks: list[TrackRecord], pred_tracks: list[TrackRecord], geometry: str
 ) -> _PoolData:
+    _check_choice("geometry", geometry, GEOMETRIES)
     gt_tracks = sorted(gt_tracks, key=lambda t: t.track_id)
     pred_tracks = sorted(pred_tracks, key=lambda t: t.track_id)
     gt_obs = [_observations_by_frame(t) for t in gt_tracks]
     pred_obs = [_observations_by_frame(t) for t in pred_tracks]
-
-    # Tight boxes around the masks make an exact prescreen: disjoint tight
-    # boxes imply mask IoU 0, which skips the run merge for most pairs.
-    def tight(ob) -> Any:
-        return mask_to_box(ob.mask) if ob.mask is not None else ob.box
 
     frame_set: set[int] = set()
     for obs in gt_obs:
@@ -149,19 +148,15 @@ def _build_pool(
             continue
         g_ob = [gt_obs[i][frame] for i in g_idx]
         p_ob = [pred_obs[j][frame] for j in p_idx]
-        if geometry == "box":
-            sim = box_iou_matrix([ob.box for ob in g_ob], [ob.box for ob in p_ob])
-        else:
-            sim = box_iou_matrix([ob.box for ob in g_ob], [ob.box for ob in p_ob])
-            tight_iou = box_iou_matrix([tight(ob) for ob in g_ob], [tight(ob) for ob in p_ob])
-            for a, ga in enumerate(g_ob):
-                for b, pb in enumerate(p_ob):
-                    if ga.mask is not None and pb.mask is not None:
-                        sim[a, b] = (
-                            mask_iou(ga.mask, pb.mask) if tight_iou[a, b] > 0.0 else 0.0
-                        )
-                    else:
-                        fallback += 1
+        sim = box_iou_matrix([ob.box for ob in g_ob], [ob.box for ob in p_ob])
+        if geometry == "mask":
+            # Pairs where either side lacks a mask keep their box IoU.
+            g_m = [a for a, ob in enumerate(g_ob) if ob.mask is not None]
+            p_m = [b for b, ob in enumerate(p_ob) if ob.mask is not None]
+            sim[np.ix_(g_m, p_m)] = mask_iou_matrix(
+                [g_ob[a].mask for a in g_m], [p_ob[b].mask for b in p_m]
+            )
+            fallback += sim.size - len(g_m) * len(p_m)
         g_arr = np.asarray(g_idx, np.int64)
         p_arr = np.asarray(p_idx, np.int64)
         frames.append((frame, g_arr, p_arr, sim, np.ix_(g_arr, p_arr)))
@@ -173,7 +168,7 @@ def _build_pool(
         gt_total=int(sum(len(o) for o in gt_obs)),
         pred_total=int(sum(len(o) for o in pred_obs)),
         frames=frames,
-        box_fallback_pairs=fallback if geometry == "mask" else 0,
+        box_fallback_pairs=fallback,
     )
 
 
@@ -277,8 +272,7 @@ def hota_alpha(
     Returns (DetA, AssA, HOTA_alpha) in closed mode and
     (DetRe, AssA, OWTA_alpha) in open mode.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_choice("mode", mode, MODES)
     pool = _build_pool(gt_tracks, pred_tracks, geometry)
     stats = _pool_alpha_stats(pool, alpha)
     if mode == "closed":

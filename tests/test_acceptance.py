@@ -182,7 +182,7 @@ def test_5_rle_roundtrip_and_exact_iou():
         assert mask_iou(ma, mb) == _brute_iou(ga, gb)
     _pass(
         "run-length coding round-trips all 512 3x3 grids and 1000 random "
-        "64x64 grids; run-merge IoU equals bitmap IoU exactly on 500 pairs"
+        "64x64 grids; packed-bit IoU equals brute-force bitmap IoU exactly on 500 pairs"
     )
 
 

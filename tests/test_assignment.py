@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letrack.assignment import hungarian_max
 
@@ -120,3 +122,24 @@ def test_deterministic_across_calls():
     feasible = rng.random((6, 6)) < 0.7
     first = hungarian_max(scores, feasible)
     assert all(hungarian_max(scores, feasible) == first for _ in range(5))
+
+
+_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, -0.25, 0.25, 0.5, 1.0]),
+    st.floats(-1.0, 1.0, allow_nan=False, width=32),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_feasibility_with_single_cells_matches_oracle(data):
+    # Sparse gates leave a mix of lone cells (peeled before the component
+    # search) and larger components; ties and signed zeros probe the
+    # cardinality and lexicographic rules on both paths.
+    n = data.draw(st.integers(1, 8), label="rows")
+    m = data.draw(st.integers(1, 8), label="cols")
+    density = data.draw(st.floats(0.05, 0.35), label="density")
+    draws = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n * m, max_size=n * m))
+    feasible = np.array(draws).reshape(n, m) < density
+    scores = np.array(data.draw(st.lists(_SCORES, min_size=n * m, max_size=n * m))).reshape(n, m)
+    assert hungarian_max(scores, feasible) == assignment_oracle(scores, feasible)

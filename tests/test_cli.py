@@ -287,6 +287,8 @@ def test_failed_write_keeps_existing_outputs(tmp_path, capsys):
     assert rc == 2
     assert existing.read_bytes() == b"precious\n"
     assert os.listdir(tmp_path) == ["gt.json"]
+    err = capsys.readouterr().err
+    assert "bank.json" in err and ".tmp" not in err
 
 
 def _multi_sequence_run(d, capsys) -> dict[str, bytes]:

@@ -9,6 +9,7 @@ from letrack.maskops import (
     box_iou,
     box_iou_matrix,
     mask_iou,
+    mask_iou_matrix,
     mask_to_box,
     rle_decode,
     rle_encode,
@@ -120,6 +121,41 @@ def test_mask_iou_equals_bitmap_brute_force_exactly():
         b = rng.random((h, w)) < rng.uniform(0.0, 1.0)
         got = mask_iou(rle_encode(a), rle_encode(b))
         assert got == brute_iou(a, b)  # exact: both are ratios of equal ints
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (7, 5), (8, 8), (16, 12), (3, 70), (64, 96), (65, 67)])
+def test_mask_iou_matrix_equals_bitmap_brute_force_exactly(h, w):
+    # h * w a multiple of 64 (8x8, 16x12, 64x96) and not, plus one size
+    # above 64x64; every list carries an empty and a full mask.
+    rng = np.random.default_rng(h * 1000 + w)
+    grids = [np.zeros((h, w), dtype=bool), np.ones((h, w), dtype=bool)]
+    grids += [rng.random((h, w)) < rng.uniform(0.0, 1.0) for _ in range(6)]
+    a, b = grids[:5], grids[3:]
+    got = mask_iou_matrix([rle_encode(g) for g in a], [rle_encode(g) for g in b])
+    assert got.dtype == np.float64 and got.shape == (5, 5)
+    for i, ga in enumerate(a):
+        for j, gb in enumerate(b):
+            assert got[i, j] == brute_iou(ga, gb)  # exact, not approx
+
+
+def test_mask_iou_matrix_empty_sides():
+    m = rle_encode(np.ones((4, 4), dtype=bool))
+    assert mask_iou_matrix([m, m], []).shape == (2, 0)
+    assert mask_iou_matrix([], [m, m, m]).shape == (0, 3)
+
+
+def test_mask_iou_matrix_size_mismatch_anywhere():
+    small = rle_encode(np.zeros((2, 2), dtype=bool))
+    big = rle_encode(np.zeros((3, 3), dtype=bool))
+    for a, b in (([small, big], [small]), ([small], [small, big]), ([big, big], [small]),
+                 ([small, big], [])):
+        with pytest.raises(ValueError, match="size"):
+            mask_iou_matrix(a, b)
+
+
+def test_mask_iou_matrix_zero_pixel_size_is_zero():
+    e = RleMask((0, 5), ())
+    assert mask_iou_matrix([e, e], [e]).tolist() == [[0.0], [0.0]]
 
 
 # ---------------------------------------------------------------------------

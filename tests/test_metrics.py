@@ -35,6 +35,11 @@ def test_eval_config_validation():
         EvalConfig(alphas=(0.5, 0.5))
     with pytest.raises(ValueError, match="empty"):
         EvalConfig(alphas=())
+    gt, pred = id_switch_pool()
+    with pytest.raises(ValueError, match="geometry"):
+        hota_alpha(gt, pred, 0.5, geometry="pixels")
+    with pytest.raises(ValueError, match="geometry"):
+        match_frames(gt, pred, 0.5, geometry="pixels")
 
 
 # ---------------------------------------------------------------------------
