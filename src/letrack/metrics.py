@@ -18,11 +18,13 @@ for a TP of pair (g, p) with m matched frames this is exactly
 m / (T_g + T_p - m); the implementation uses that identity while the test
 oracle counts the TPA/FNA/FPA sets literally.
 
-Closed world restricts each pool to one category and averages categories
-unweighted (categories without gt tracks are skipped).  Open world pools
-everything class-agnostically, ignores prediction labels, and reports
+Both modes match each sequence as one pool.  Closed world gives a pair of
+different categories similarity 0, below every alpha, so it never matches;
+it reads out each category's TPs, FNs and FPs and averages categories
+unweighted (categories without gt tracks are skipped, their predictions
+included).  Open world ignores prediction labels and reports
 OWTA = sqrt(DetRe * AssA); the common/uncommon splits only filter which gt
-tracks are read out of the one global matching.
+tracks are read out of the one matching.
 
 Scores are accumulated across sequences per alpha and averaged over the
 alpha grid at the end.  All reported values live in [0, 1]; 0/0 ratios are
@@ -32,6 +34,7 @@ defined as 0.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -95,7 +98,7 @@ class EvalConfig:
 
 @dataclass
 class _PoolData:
-    """Precomputed geometry for one (gt pool, pred pool) pair in one sequence."""
+    """Precomputed geometry for the gt and pred tracks of one sequence."""
 
     gt_ids: list[int]
     pred_ids: list[int]
@@ -125,13 +128,25 @@ def _observations_by_frame(track: TrackRecord) -> dict[int, Any]:
 
 
 def _build_pool(
-    gt_tracks: list[TrackRecord], pred_tracks: list[TrackRecord], geometry: str
+    gt_tracks: list[TrackRecord],
+    pred_tracks: list[TrackRecord],
+    geometry: str,
+    same_category: bool = False,
 ) -> _PoolData:
+    """Per-frame similarity of every (gt, pred) pair present in the frame.
+
+    With ``same_category`` a pair whose category ids differ gets similarity
+    0, below every alpha, so it never matches, and it is not counted as a
+    box fallback.
+    """
     _check_choice("geometry", geometry, GEOMETRIES)
     gt_tracks = sorted(gt_tracks, key=lambda t: t.track_id)
     pred_tracks = sorted(pred_tracks, key=lambda t: t.track_id)
     gt_obs = [_observations_by_frame(t) for t in gt_tracks]
     pred_obs = [_observations_by_frame(t) for t in pred_tracks]
+    if same_category:
+        gt_cat = np.array([t.category_id for t in gt_tracks], dtype=np.int64)
+        pred_cat = np.array([t.category_id for t in pred_tracks], dtype=np.int64)
 
     frame_set: set[int] = set()
     for obs in gt_obs:
@@ -146,20 +161,22 @@ def _build_pool(
         p_idx = [j for j, obs in enumerate(pred_obs) if frame in obs]
         if not g_idx or not p_idx:
             continue
+        g_arr = np.asarray(g_idx, np.int64)
+        p_arr = np.asarray(p_idx, np.int64)
         g_ob = [gt_obs[i][frame] for i in g_idx]
         p_ob = [pred_obs[j][frame] for j in p_idx]
         sim = box_iou_matrix([ob.box for ob in g_ob], [ob.box for ob in p_ob])
+        same = gt_cat[g_arr][:, None] == pred_cat[p_arr] if same_category else np.True_
         if geometry == "mask":
             # Pairs where either side lacks a mask keep their box IoU.
             g_m = [a for a, ob in enumerate(g_ob) if ob.mask is not None]
             p_m = [b for b, ob in enumerate(p_ob) if ob.mask is not None]
-            sim[np.ix_(g_m, p_m)] = mask_iou_matrix(
-                [g_ob[a].mask for a in g_m], [p_ob[b].mask for b in p_m]
-            )
-            fallback += sim.size - len(g_m) * len(p_m)
-        g_arr = np.asarray(g_idx, np.int64)
-        p_arr = np.asarray(p_idx, np.int64)
-        frames.append((frame, g_arr, p_arr, sim, np.ix_(g_arr, p_arr)))
+            block = np.ix_(g_m, p_m)
+            sim[block] = mask_iou_matrix([g_ob[a].mask for a in g_m], [p_ob[b].mask for b in p_m])
+            masked = np.zeros(sim.shape, dtype=bool)
+            masked[block] = True
+            fallback += int(np.count_nonzero(same & ~masked))
+        frames.append((frame, g_arr, p_arr, np.where(same, sim, 0.0), np.ix_(g_arr, p_arr)))
     return _PoolData(
         gt_ids=[t.track_id for t in gt_tracks],
         pred_ids=[t.track_id for t in pred_tracks],
@@ -172,72 +189,56 @@ def _build_pool(
     )
 
 
-@dataclass
-class _AlphaStats:
-    """Matching outcome of one pool at one alpha."""
+def _match(pool: _PoolData, alpha: float) -> tuple[np.ndarray, ...]:
+    """Both matching passes of one pool at one alpha.
 
-    tp: int
-    fn: int
-    fp: int
-    ass_num: float  # sum over TPs of A(c)
-    loc_num: float  # sum over TPs of similarity
-    tp_by_gt: np.ndarray
-    ass_by_gt: np.ndarray
-    matches_by_frame: dict[int, list[tuple[int, int]]]
-
-
-def _pool_alpha_stats(pool: _PoolData, alpha: float) -> _AlphaStats:
-    n_gt, n_pred = len(pool.gt_ids), len(pool.pred_ids)
-    count = np.zeros((n_gt, n_pred), dtype=np.int64)
-    for _, g_idx, p_idx, sim, grid in pool.frames:
+    Returns (frame, gt index, pred index, similarity) of every TP as four
+    aligned arrays, in frame order and by row within a frame.
+    """
+    count = np.zeros((len(pool.gt_ids), len(pool.pred_ids)), dtype=np.int64)
+    for _, _, _, sim, grid in pool.frames:
         count[grid] += sim >= alpha
-    denom = pool.gt_len[:, None] + pool.pred_len[None, :] - count
-    a_glob = np.zeros((n_gt, n_pred), dtype=np.float64)
-    np.divide(count, denom, out=a_glob, where=denom > 0)
 
-    match_count = np.zeros((n_gt, n_pred), dtype=np.int64)
-    tp = 0
-    loc_num = 0.0
-    matches_by_frame: dict[int, list[tuple[int, int]]] = {}
+    # An empty first part fixes the dtypes when nothing matches.
+    parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     for frame, g_idx, p_idx, sim, grid in pool.frames:
         feasible = sim >= alpha
         if not feasible.any():
             continue
-        weights = a_glob[grid] + sim / TIE_BREAK_DIVISOR
-        pairs = hungarian_max(weights, feasible)
-        if not pairs:
-            continue
-        frame_matches = []
-        for a, b in pairs:
-            gi, pj = int(g_idx[a]), int(p_idx[b])
-            match_count[gi, pj] += 1
-            loc_num += float(sim[a, b])
-            frame_matches.append((pool.gt_ids[gi], pool.pred_ids[pj]))
-        matches_by_frame[frame] = frame_matches
-        tp += len(pairs)
-
-    ass_num = 0.0
-    ass_by_gt = np.zeros(n_gt, dtype=np.float64)
-    g_nz, p_nz = np.nonzero(match_count)  # row-major: deterministic order
-    for gi, pj in zip(g_nz, p_nz):
-        m = int(match_count[gi, pj])
-        term = m * (m / float(pool.gt_len[gi] + pool.pred_len[pj] - m))
-        ass_num += term
-        ass_by_gt[gi] += term
-    return _AlphaStats(
-        tp=tp,
-        fn=pool.gt_total - tp,
-        fp=pool.pred_total - tp,
-        ass_num=ass_num,
-        loc_num=loc_num,
-        tp_by_gt=match_count.sum(axis=1),
-        ass_by_gt=ass_by_gt,
-        matches_by_frame=matches_by_frame,
-    )
+        # A_glob on this frame's pairs only; T_g + T_p - C >= 1 since no
+        # track is empty.
+        c = count[grid]
+        a_glob = c / (pool.gt_len[g_idx][:, None] + pool.pred_len[p_idx] - c)
+        pairs = hungarian_max(a_glob + sim / TIE_BREAK_DIVISOR, feasible)
+        if pairs:
+            a, b = np.array(pairs).T
+            parts.append((np.full(len(a), frame), g_idx[a], p_idx[b], sim[a, b]))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
+def _group_sums(
+    pool: _PoolData, matches: tuple[np.ndarray, ...], groups: np.ndarray, n_groups: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group TP count, sum of A(c) over TPs and sum of similarity over TPs.
+
+    ``groups`` maps each gt track to its group.  Each float sum runs in one
+    fixed order: similarity in frame then row order, A(c) in row-major
+    (gt, pred) order, where a pair with m TPs adds m * A(c) at once.
+    """
+    _, g, p, s = matches
+    tp = np.bincount(groups[g], minlength=n_groups)
+    loc = np.bincount(groups[g], weights=s, minlength=n_groups)
+    n_pred = len(pool.pred_ids)
+    pair, m = np.unique(g * n_pred + p, return_counts=True)
+    gi, pj = np.divmod(pair, n_pred)
+    terms = m * (m / (pool.gt_len[gi] + pool.pred_len[pj] - m))
+    ass = np.bincount(groups[gi], weights=terms, minlength=n_groups)
+    return tp, ass, loc
+
+
+def _div(num: Any, den: Any) -> np.ndarray:
+    """Elementwise num / den, with 0/0 (any x/0) defined as 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=np.asarray(den) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +257,11 @@ def match_frames(
     FN count, FP count).
     """
     pool = _build_pool(gt_tracks, pred_tracks, geometry)
-    stats = _pool_alpha_stats(pool, alpha)
-    return stats.matches_by_frame, stats.fn, stats.fp
+    frames, g, p, _ = _match(pool, alpha)
+    matches: dict[int, list[tuple[int, int]]] = {}
+    for frame, gi, pj in zip(frames.tolist(), g.tolist(), p.tolist()):
+        matches.setdefault(frame, []).append((pool.gt_ids[gi], pool.pred_ids[pj]))
+    return matches, pool.gt_total - len(g), pool.pred_total - len(g)
 
 
 def hota_alpha(
@@ -274,12 +278,12 @@ def hota_alpha(
     """
     _check_choice("mode", mode, MODES)
     pool = _build_pool(gt_tracks, pred_tracks, geometry)
-    stats = _pool_alpha_stats(pool, alpha)
-    if mode == "closed":
-        det = _ratio(stats.tp, stats.tp + stats.fn + stats.fp)
-    else:
-        det = _ratio(stats.tp, stats.tp + stats.fn)
-    ass = _ratio(stats.ass_num, stats.tp)
+    one_group = np.zeros(len(pool.gt_ids), dtype=np.int64)
+    tp, ass, _ = _group_sums(pool, _match(pool, alpha), one_group, 1)
+    # TP + FN is every gt detection; closed mode adds the FPs.
+    den = pool.gt_total + (pool.pred_total - tp if mode == "closed" else 0)
+    det = float(_div(tp, den)[0])
+    ass = float(_div(ass, tp)[0])
     return det, ass, math.sqrt(det * ass)
 
 
@@ -440,31 +444,27 @@ def _check_inputs(
                 f"({mp.height}x{mp.width}, {mp.num_frames} frames)"
             )
 
-    for seq in gt:
-        for t in seq.tracks:
-            if t.category_id is None:
-                issues.append(
-                    f"ground truth sequence {seq.meta.name!r}: track {t.track_id} "
-                    "has no category_id"
-                )
-            elif t.category_id not in bank:
-                issues.append(
-                    f"ground truth sequence {seq.meta.name!r}: track {t.track_id} "
-                    f"has unknown category_id {t.category_id}"
-                )
-    if cfg.mode == "closed":
-        for seq in pred:
+    for side, seqs in (("ground truth", gt), ("prediction", pred)):
+        labels_required = side == "ground truth" or cfg.mode == "closed"
+        for seq in seqs:
             for t in seq.tracks:
+                where = f"{side} sequence {seq.meta.name!r}: track {t.track_id}"
+                frames = [ob.frame for ob in t.observations]
+                if not frames:
+                    issues.append(f"{where} has no observations")
+                elif len(set(frames)) < len(frames):
+                    dups = sorted(f for f, n in Counter(frames).items() if n > 1)
+                    issues.append(
+                        f"{where} has duplicate observations for frame(s) "
+                        + ", ".join(str(f) for f in dups)
+                    )
+                if not labels_required:
+                    continue
                 if t.category_id is None:
-                    issues.append(
-                        f"prediction sequence {seq.meta.name!r}: track {t.track_id} "
-                        "has no category_id (required in closed mode)"
-                    )
+                    required = " (required in closed mode)" if side == "prediction" else ""
+                    issues.append(f"{where} has no category_id{required}")
                 elif t.category_id not in bank:
-                    issues.append(
-                        f"prediction sequence {seq.meta.name!r}: track {t.track_id} "
-                        f"has unknown category_id {t.category_id}"
-                    )
+                    issues.append(f"{where} has unknown category_id {t.category_id}")
     if issues:
         raise SchemaError(issues)
     return gt_by_name, pred_by_name, warnings
@@ -534,128 +534,112 @@ def evaluate(
     total_gt_tracks = sum(len(s.tracks) for s in gt)
     if total_gt_tracks == 0:
         warnings.append("ground truth contains zero tracks; every metric is defined as 0")
-        splits: dict[str, Optional[SplitScores]] = {
-            "all": _zero_split(cfg.mode, n_alphas, with_fp=True),
-            "common": None,
-            "uncommon": None,
-        }
         return MetricsReport(
             mode=cfg.mode,
             geometry=cfg.geometry,
             alphas=tuple(cfg.alphas),
-            splits=splits,
+            splits={
+                "all": _zero_split(cfg.mode, n_alphas, with_fp=True),
+                "common": None,
+                "uncommon": None,
+            },
             warnings=warnings,
             diagnostics={"box_fallback_pairs": 0, "zero_gt": True},
         )
 
-    if cfg.mode == "closed":
-        report = _evaluate_closed(gt_by_name, pred_by_name, bank, cfg)
-    else:
-        report = _evaluate_open(gt_by_name, pred_by_name, bank, cfg)
-    report.warnings = warnings + report.warnings
-    return report
+    closed = cfg.mode == "closed"
+    cats = sorted({t.category_id for s in gt_by_name.values() for t in s.tracks})
+    cat_index = {c: i for i, c in enumerate(cats)}
+    split_names = ("all",) + SPLITS
 
+    def sequence_task(name: str) -> tuple[dict[str, np.ndarray], int]:
+        """(tp, fn, fp, ass, loc) of one sequence, each (column, alpha).
 
-def _evaluate_closed(
-    gt_by_name: dict[str, SequenceTracks],
-    pred_by_name: dict[str, SequenceTracks],
-    bank: CategoryBank,
-    cfg: EvalConfig,
-) -> MetricsReport:
-    names = sorted(gt_by_name)
-    cats_with_gt = sorted(
-        {t.category_id for s in gt_by_name.values() for t in s.tracks if t.category_id is not None}
-    )
-    cat_set = set(cats_with_gt)
-    n_alphas = len(cfg.alphas)
-
-    def sequence_task(name: str) -> tuple[dict[int, list[_AlphaStats]], int]:
-        gt_seq = gt_by_name[name]
-        pred_seq = pred_by_name.get(name)
-        gt_by_cat: dict[int, list[TrackRecord]] = {}
-        for t in gt_seq.tracks:
-            gt_by_cat.setdefault(t.category_id, []).append(t)
-        pred_by_cat: dict[int, list[TrackRecord]] = {}
-        if pred_seq is not None:
-            for t in pred_seq.tracks:
-                # Categories with zero gt tracks anywhere are out of the
-                # averaging entirely, their predictions included.
-                if t.category_id in cat_set:
-                    pred_by_cat.setdefault(t.category_id, []).append(t)
-        out: dict[int, list[_AlphaStats]] = {}
-        fallback = 0
-        for cat in sorted(set(gt_by_cat) | set(pred_by_cat)):
-            pool = _build_pool(gt_by_cat.get(cat, []), pred_by_cat.get(cat, []), cfg.geometry)
-            fallback += pool.box_fallback_pairs
-            out[cat] = [_pool_alpha_stats(pool, alpha) for alpha in cfg.alphas]
-        return out, fallback
-
-    results = map_ordered(sequence_task, names)
-
-    acc: dict[int, dict[str, np.ndarray]] = {
-        cat: {
-            "tp": np.zeros(n_alphas, np.int64),
-            "fn": np.zeros(n_alphas, np.int64),
-            "fp": np.zeros(n_alphas, np.int64),
-            "ass": np.zeros(n_alphas, np.float64),
-            "loc": np.zeros(n_alphas, np.float64),
+        Columns are the categories with gt in closed mode and the splits in
+        open mode.
+        """
+        gt_seq, pred_seq = gt_by_name.get(name), pred_by_name.get(name)
+        gt_tracks = sorted(gt_seq.tracks if gt_seq else [], key=lambda t: t.track_id)
+        pred_tracks = sorted(pred_seq.tracks if pred_seq else [], key=lambda t: t.track_id)
+        if closed:
+            # Categories with zero gt tracks anywhere are out of the
+            # averaging entirely, their predictions included.
+            pred_tracks = [t for t in pred_tracks if t.category_id in cat_index]
+        pool = _build_pool(gt_tracks, pred_tracks, cfg.geometry, same_category=closed)
+        # Closed mode sums per category, open mode per gt track.
+        groups = np.array(
+            [cat_index[t.category_id] if closed else i for i, t in enumerate(gt_tracks)],
+            dtype=np.int64,
+        )
+        n_groups = len(cats) if closed else len(gt_tracks)
+        sums = [_group_sums(pool, _match(pool, a), groups, n_groups) for a in cfg.alphas]
+        tp, ass, loc = (np.stack(v, axis=1) for v in zip(*sums))
+        if closed:
+            pred_groups = np.array([cat_index[t.category_id] for t in pred_tracks], dtype=np.int64)
+            gt_dets = np.bincount(groups, pool.gt_len, n_groups).astype(np.int64)[:, None]
+            pred_dets = np.bincount(pred_groups, pool.pred_len, n_groups).astype(np.int64)[:, None]
+            cols = {"tp": tp, "fn": gt_dets - tp, "fp": pred_dets - tp, "ass": ass, "loc": loc}
+            return cols, pool.box_fallback_pairs
+        in_split = [np.ones(len(gt_tracks), dtype=bool)] + [
+            np.array([bank.split_of(t.category_id) == s for t in gt_tracks], dtype=bool)
+            for s in SPLITS
+        ]
+        cols = {
+            key: np.array([[v[sel, k].sum() for k in range(n_alphas)] for sel in in_split])
+            for key, v in (("tp", tp), ("ass", ass))
         }
-        for cat in cats_with_gt
-    }
-    fallback_total = 0
-    for per_cat, fallback in results:
-        fallback_total += fallback
-        for cat, stats_list in per_cat.items():
-            a = acc[cat]
-            for k, st in enumerate(stats_list):
-                a["tp"][k] += st.tp
-                a["fn"][k] += st.fn
-                a["fp"][k] += st.fp
-                a["ass"][k] += st.ass_num
-                a["loc"][k] += st.loc_num
+        cols["fn"] = np.array([pool.gt_len[sel].sum() for sel in in_split])[:, None] - cols["tp"]
+        # FPs are class-agnostic; only the "all" column's are read out.
+        cols["fp"] = pool.pred_total - cols["tp"]
+        return cols, pool.box_fallback_pairs
 
-    per_cat_arrays: dict[int, dict[str, np.ndarray]] = {}
-    per_category: list[CategoryScores] = []
-    for cat in cats_with_gt:
-        a = acc[cat]
-        det = np.array(
-            [_ratio(a["tp"][k], a["tp"][k] + a["fn"][k] + a["fp"][k]) for k in range(n_alphas)]
-        )
-        ass = np.array([_ratio(a["ass"][k], a["tp"][k]) for k in range(n_alphas)])
-        loc = np.array([_ratio(a["loc"][k], a["tp"][k]) for k in range(n_alphas)])
-        hota = np.sqrt(det * ass)
-        per_cat_arrays[cat] = {"det": det, "ass": ass, "loc": loc}
-        entry = bank.get(cat)
-        per_category.append(
-            CategoryScores(
-                category_id=cat,
-                name=entry.name,
-                split=entry.split,
-                combined=float(np.mean(hota)),
-                det=float(np.mean(det)),
-                ass=float(np.mean(ass)),
-                loc=float(np.mean(loc)),
-            )
-        )
+    # Prediction-only sequences (open mode only) still contribute their FPs.
+    results = map_ordered(sequence_task, sorted(set(gt_by_name) | set(pred_by_name)))
+    acc = {key: sum(cols[key] for cols, _ in results) for key in results[0][0]}
+    tp = acc["tp"]
+    det = _div(tp, tp + acc["fn"] + (acc["fp"] if closed else 0))
+    ass = _div(acc["ass"], tp)
+    loc = _div(acc["loc"], tp) if closed else None
 
+    # Categories with gt in each split; a split without any reads out None.
+    members = {"all": list(range(len(cats)))}
+    for s in SPLITS:
+        members[s] = [i for i, c in enumerate(cats) if bank.split_of(c) == s]
     splits: dict[str, Optional[SplitScores]] = {}
-    split_members = {
-        "all": cats_with_gt,
-        "common": [c for c in cats_with_gt if bank.split_of(c) == "common"],
-        "uncommon": [c for c in cats_with_gt if bank.split_of(c) == "uncommon"],
-    }
-    for split_name, members in split_members.items():
-        if not members:
-            splits[split_name] = None
-            continue
-        det = np.mean(np.stack([per_cat_arrays[c]["det"] for c in members]), axis=0)
-        ass = np.mean(np.stack([per_cat_arrays[c]["ass"] for c in members]), axis=0)
-        loc = np.mean(np.stack([per_cat_arrays[c]["loc"] for c in members]), axis=0)
-        counts = {
-            key: tuple(int(sum(acc[c][key][k] for c in members)) for k in range(n_alphas))
-            for key in ("tp", "fn", "fp")
-        }
-        splits[split_name] = _split_from_arrays(cfg.mode, det, ass, loc, counts)
+    per_category: list[CategoryScores] = []
+    for col, s in enumerate(split_names):
+        rows = members[s]
+        if not rows:
+            splits[s] = None
+        elif closed:
+            counts = {
+                key: tuple(int(x) for x in acc[key][rows].sum(axis=0)) for key in ("tp", "fn", "fp")
+            }
+            splits[s] = _split_from_arrays(
+                cfg.mode, det[rows].mean(axis=0), ass[rows].mean(axis=0), loc[rows].mean(axis=0), counts
+            )
+        else:
+            counts = {
+                "tp": tuple(int(x) for x in tp[col]),
+                "fn": tuple(int(x) for x in acc["fn"][col]),
+                # FPs cannot be attributed to a gt split.
+                "fp": tuple(int(x) for x in acc["fp"][col]) if s == "all" else None,
+            }
+            splits[s] = _split_from_arrays(cfg.mode, det[col], ass[col], None, counts)
+    if closed:
+        for i, cat in enumerate(cats):
+            entry = bank.get(cat)
+            per_category.append(
+                CategoryScores(
+                    category_id=cat,
+                    name=entry.name,
+                    split=entry.split,
+                    combined=float(np.mean(np.sqrt(det[i] * ass[i]))),
+                    det=float(np.mean(det[i])),
+                    ass=float(np.mean(ass[i])),
+                    loc=float(np.mean(loc[i])),
+                )
+            )
 
     return MetricsReport(
         mode=cfg.mode,
@@ -663,112 +647,6 @@ def _evaluate_closed(
         alphas=tuple(cfg.alphas),
         splits=splits,
         per_category=per_category,
-        diagnostics={"box_fallback_pairs": fallback_total, "zero_gt": False},
-    )
-
-
-def _evaluate_open(
-    gt_by_name: dict[str, SequenceTracks],
-    pred_by_name: dict[str, SequenceTracks],
-    bank: CategoryBank,
-    cfg: EvalConfig,
-) -> MetricsReport:
-    # Pure prediction-only sequences still contribute their FPs to the counts.
-    names = sorted(set(gt_by_name) | set(pred_by_name))
-    n_alphas = len(cfg.alphas)
-    split_names = ("all",) + SPLITS
-
-    def sequence_task(name: str) -> tuple[dict[str, dict[str, np.ndarray]], int]:
-        gt_seq = gt_by_name.get(name)
-        pred_seq = pred_by_name.get(name)
-        gt_tracks = list(gt_seq.tracks) if gt_seq is not None else []
-        gt_tracks = sorted(gt_tracks, key=lambda t: t.track_id)
-        pred_tracks = list(pred_seq.tracks) if pred_seq is not None else []
-        pool = _build_pool(gt_tracks, pred_tracks, cfg.geometry)
-        in_split = {
-            "all": np.ones(len(gt_tracks), dtype=bool),
-            "common": np.array(
-                [bank.split_of(t.category_id) == "common" for t in gt_tracks], dtype=bool
-            ),
-            "uncommon": np.array(
-                [bank.split_of(t.category_id) == "uncommon" for t in gt_tracks], dtype=bool
-            ),
-        }
-        out = {
-            s: {
-                "tp": np.zeros(n_alphas, np.int64),
-                "fn": np.zeros(n_alphas, np.int64),
-                "fp": np.zeros(n_alphas, np.int64),
-                "ass": np.zeros(n_alphas, np.float64),
-            }
-            for s in split_names
-        }
-        for k, alpha in enumerate(cfg.alphas):
-            st = _pool_alpha_stats(pool, alpha)
-            for s in split_names:
-                sel = in_split[s]
-                tp_s = int(st.tp_by_gt[sel].sum()) if len(gt_tracks) else 0
-                gt_dets_s = int(pool.gt_len[sel].sum()) if len(gt_tracks) else 0
-                out[s]["tp"][k] = tp_s
-                out[s]["fn"][k] = gt_dets_s - tp_s
-                out[s]["ass"][k] = float(st.ass_by_gt[sel].sum()) if len(gt_tracks) else 0.0
-            out["all"]["fp"][k] = st.fp
-        return out, pool.box_fallback_pairs
-
-    results = map_ordered(sequence_task, names)
-
-    acc = {
-        s: {
-            "tp": np.zeros(n_alphas, np.int64),
-            "fn": np.zeros(n_alphas, np.int64),
-            "fp": np.zeros(n_alphas, np.int64),
-            "ass": np.zeros(n_alphas, np.float64),
-        }
-        for s in split_names
-    }
-    fallback_total = 0
-    for per_split, fallback in results:
-        fallback_total += fallback
-        for s in split_names:
-            for key in ("tp", "fn", "fp", "ass"):
-                acc[s][key] += per_split[s][key]
-
-    gt_tracks_per_split = {
-        "all": sum(len(s.tracks) for s in gt_by_name.values()),
-        "common": sum(
-            1
-            for s in gt_by_name.values()
-            for t in s.tracks
-            if bank.split_of(t.category_id) == "common"
-        ),
-        "uncommon": sum(
-            1
-            for s in gt_by_name.values()
-            for t in s.tracks
-            if bank.split_of(t.category_id) == "uncommon"
-        ),
-    }
-
-    splits: dict[str, Optional[SplitScores]] = {}
-    for s in split_names:
-        if gt_tracks_per_split[s] == 0:
-            splits[s] = None
-            continue
-        a = acc[s]
-        detre = np.array([_ratio(a["tp"][k], a["tp"][k] + a["fn"][k]) for k in range(n_alphas)])
-        ass = np.array([_ratio(a["ass"][k], a["tp"][k]) for k in range(n_alphas)])
-        counts: dict[str, Optional[tuple[int, ...]]] = {
-            "tp": tuple(int(x) for x in a["tp"]),
-            "fn": tuple(int(x) for x in a["fn"]),
-            # FPs are class-agnostic; they cannot be attributed to a gt split.
-            "fp": tuple(int(x) for x in a["fp"]) if s == "all" else None,
-        }
-        splits[s] = _split_from_arrays(cfg.mode, detre, ass, None, counts)
-
-    return MetricsReport(
-        mode=cfg.mode,
-        geometry=cfg.geometry,
-        alphas=tuple(cfg.alphas),
-        splits=splits,
-        diagnostics={"box_fallback_pairs": fallback_total, "zero_gt": False},
+        warnings=warnings,
+        diagnostics={"box_fallback_pairs": sum(f for _, f in results), "zero_gt": False},
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -327,6 +328,25 @@ def test_multi_sequence_pipeline_is_byte_deterministic(tmp_path, capsys):
     )
     pred, _ = load_tracks(str(tmp_path / "run0" / "pred.json"))
     assert [s.meta.name for s in pred] == ["synth_0011", "synth_0012", "synth_0013"]
+
+
+# sha256 of the reports of `_multi_sequence_run`: 3 sequences, 4 categories
+# with gt, false positives in both modes.  Any change to the evaluator must
+# keep these bytes.
+PINNED_REPORTS = {
+    "report_closed.json": "55032534e6d652f8a6b9061cc200521180280561ae6bf9112690176143c7d4bf",
+    "report_open.json": "d6986f613f1d56d070d1c3aaafa32e9d6143459d989a4c0833b87e0c3debfbcc",
+}
+
+
+def test_multi_sequence_reports_match_pinned_digests(tmp_path, capsys):
+    outputs = _multi_sequence_run(tmp_path, capsys)
+    closed = json.loads(outputs["report_closed.json"])
+    assert len(closed["per_category"]) == 4
+    assert min(closed["splits"]["all"]["counts"]["fp"]) > 0
+    assert min(json.loads(outputs["report_open.json"])["splits"]["all"]["counts"]["fp"]) > 0
+    for name, digest in PINNED_REPORTS.items():
+        assert hashlib.sha256(outputs[name]).hexdigest() == digest, name
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from letrack.classification import CategoryBank, CategoryEntry
 from letrack.io import SchemaError, SequenceTracks, TrackObservation, TrackRecord
 from letrack.maskops import mask_to_box, rle_encode
 from letrack.metrics import (
@@ -14,6 +17,7 @@ from letrack.metrics import (
 )
 
 from helpers import box_track, meta, seq_tracks, two_split_bank
+from oracles import hota_oracle
 
 BOX = (0, 0, 10, 10)
 FAR = (40, 40, 10, 10)
@@ -126,6 +130,26 @@ def test_duplicate_frame_rejected():
     bad = box_track(1, [(0, BOX), (0, BOX)])
     with pytest.raises(SchemaError, match="duplicate observation"):
         hota_alpha([bad], [], 0.5)
+
+
+def test_evaluate_lists_every_empty_or_duplicate_frame_track():
+    bank = two_split_bank()
+    gt = [
+        seq_tracks(
+            [
+                box_track(1, [(0, BOX)], category_id=1),
+                TrackRecord(track_id=2, observations=[], category_id=1),
+            ],
+            name="a",
+        )
+    ]
+    pred = [seq_tracks([box_track(7, [(0, BOX), (0, FAR), (1, BOX)])], name="a")]
+    with pytest.raises(SchemaError) as err:
+        evaluate(gt, pred, bank, EvalConfig(mode="open", geometry="box"))
+    assert err.value.issues == [
+        "ground truth sequence 'a': track 2 has no observations",
+        "prediction sequence 'a': track 7 has duplicate observations for frame(s) 0",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +397,72 @@ def test_mask_geometry_falls_back_to_boxes_and_counts():
     assert rep.diagnostics["box_fallback_pairs"] == 1
     rep_box = evaluate(gt, pred, bank, EvalConfig(mode="open", geometry="box", alphas=(0.5,)))
     assert rep_box.diagnostics["box_fallback_pairs"] == 0
+    # A maskless pair of different categories: closed mode never matches
+    # it, so it is no fallback there.  The category-2 gt track on frame 1
+    # keeps category 2 in the closed-mode averaging.
+    gt = [
+        seq_tracks(
+            [box_track(1, [(0, BOX)], category_id=1), box_track(2, [(1, FAR)], category_id=2)],
+            n=2,
+        )
+    ]
+    pred = [seq_tracks([box_track(3, [(0, BOX)], category_id=2)], n=2)]
+    for mode, fallbacks in (("closed", 0), ("open", 1)):
+        rep = evaluate(gt, pred, bank, EvalConfig(mode=mode, geometry="mask", alphas=(0.5,)))
+        assert rep.diagnostics["box_fallback_pairs"] == fallbacks, mode
 
 
 # ---------------------------------------------------------------------------
 # properties on random instances
+
+
+_CROWDED_BOX = st.tuples(
+    st.sampled_from([0, 2, 4]), st.sampled_from([0, 2, 4]),
+    st.sampled_from([4, 6]), st.sampled_from([4, 6]),
+)
+
+
+def _draw_tracks(data, label, n_cats, min_size):
+    out = []
+    for tid in range(1, data.draw(st.integers(min_size, 4), label=f"{label} tracks") + 1):
+        cat = data.draw(st.integers(1, n_cats), label=f"{label} {tid} category")
+        frames = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        out.append(
+            box_track(tid, [(f, data.draw(_CROWDED_BOX)) for f in sorted(frames)], category_id=cat)
+        )
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_closed_per_category_matches_oracle_on_its_own_tracks(data):
+    # Boxes from a small grid overlap across categories, so a pair of
+    # different categories often clears alpha on geometry alone; closed
+    # mode must still score each category as if the others were absent.
+    n_cats = data.draw(st.integers(2, 3), label="categories")
+    bank = CategoryBank(
+        [
+            CategoryEntry(category_id=c, name=f"cat{c}", split=("common", "uncommon")[c % 2],
+                          prototype=np.eye(3)[c - 1])
+            for c in range(1, n_cats + 1)
+        ]
+    )
+    gt = _draw_tracks(data, "gt", n_cats, 1)
+    pred = _draw_tracks(data, "pred", n_cats, 0)
+    alpha = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.7]), label="alpha")
+    rep = evaluate(
+        [seq_tracks(gt)], [seq_tracks(pred)], bank,
+        EvalConfig(mode="closed", geometry="box", alphas=(alpha,)),
+    )
+    assert [c.category_id for c in rep.per_category] == sorted({t.category_id for t in gt})
+    for scores in rep.per_category:
+        cat = scores.category_id
+        want = hota_oracle(
+            [t for t in gt if t.category_id == cat], [t for t in pred if t.category_id == cat], alpha
+        )
+        assert scores.det == want["det_a"]
+        assert scores.ass == pytest.approx(want["ass_a"], rel=1e-12, abs=1e-15)
+        assert scores.combined == pytest.approx(want["hota"], rel=1e-12, abs=1e-15)
 
 
 def random_pool(rng, max_tracks=3, max_frames=5):
