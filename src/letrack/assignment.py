@@ -1,6 +1,8 @@
 """Exact maximum-score bipartite assignment with pinned tie-breaking.
 
-``hungarian_max`` returns the matching that
+``assign_cells`` solves the assignment over a sparse list of feasible
+cells, each a (row key, column key, score) triple; ``hungarian_max`` is the
+dense-matrix form and passes its feasible cells to it.  The chosen matching
 
 1. maximizes the total score over the feasible pairs,
 2. among score-optimal matchings has the largest cardinality, and
@@ -18,10 +20,13 @@ score difference dominates all preference bits combined.  Distinct
 matchings always differ in their lexicographic bits, so the encoded optimum
 is unique and any optimal solver must return it.
 
-The feasibility graph is split into connected components first; in tracking
-workloads the gating makes it extremely sparse, so components are almost
-always single cells and the O(n^3) exact solve only runs on the rare dense
-cluster.
+The feasibility graph falls apart into independent connected components,
+and a cell list may hold many independent problems at once (one per frame,
+say).  In tracking workloads the gating makes the graph extremely sparse,
+so most components are single cells: those are decided by one vectorised
+rule.  The rest are labelled by vectorised min-label propagation, and only
+then does each component go through the exact solve, which is O(n^3) only
+on the rare dense cluster.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .core import InternalInvariantError
 
-__all__ = ["hungarian_max"]
+__all__ = ["assign_cells", "hungarian_max"]
 
 
 def hungarian_max(
@@ -64,57 +69,117 @@ def hungarian_max(
         return []
     if not np.all(np.isfinite(s[feas])):
         raise ValueError("feasible scores must all be finite")
-
-    # A feasible cell alone in its row and its column is a component of its
-    # own: it is taken iff its score is >= 0 (a zero-score cell is pure
-    # cardinality gain, a negative one only lowers the total), which is
-    # exactly what the general path reduces to for 1x1 components.  Gated
-    # matrices are mostly such cells; only the rest go to the search.
-    single = feas & (feas.sum(axis=1) == 1)[:, None] & (feas.sum(axis=0) == 1)[None, :]
-    fr, fc = np.nonzero(single & (s >= 0.0))
-    pairs = list(zip(fr.tolist(), fc.tolist()))
-    rest = feas & ~single
-    if rest.any():
-        for rows, cols in _components(rest):
-            pairs.extend(_solve_component(s, rest, rows, cols))
-        pairs.sort()
-    return pairs
+    # The row and column indices are already dense ids, as assign_cells
+    # would make them; np.nonzero is row-major, so the pairs come out
+    # sorted by row.
+    rows, cols = np.nonzero(feas)
+    take = _assign_dense(rows, cols, n, m, s[rows, cols])
+    return list(zip(rows[take].tolist(), cols[take].tolist()))
 
 
-def _components(feas: np.ndarray) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the bipartite feasibility graph."""
-    n, m = feas.shape
-    row_adj: list[list[int]] = [[] for _ in range(n)]
-    col_adj: list[list[int]] = [[] for _ in range(m)]
-    nz_rows, nz_cols = np.nonzero(feas)
-    for i, j in zip(nz_rows.tolist(), nz_cols.tolist()):
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    seen_row = [False] * n
-    seen_col = [False] * m
-    comps: list[tuple[list[int], list[int]]] = []
-    for start in range(n):
-        if seen_row[start] or not row_adj[start]:
-            continue
-        seen_row[start] = True
-        rows, cols = [], []
-        stack: list[tuple[bool, int]] = [(True, start)]
-        while stack:
-            is_row, idx = stack.pop()
-            if is_row:
-                rows.append(idx)
-                for j in row_adj[idx]:
-                    if not seen_col[j]:
-                        seen_col[j] = True
-                        stack.append((False, int(j)))
-            else:
-                cols.append(idx)
-                for i in col_adj[idx]:
-                    if not seen_row[i]:
-                        seen_row[i] = True
-                        stack.append((True, int(i)))
-        comps.append((sorted(rows), sorted(cols)))
-    return comps
+def assign_cells(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Solve the assignment over a sparse list of feasible cells.
+
+    Cell k joins row key ``rows[k]`` and column key ``cols[k]`` with score
+    ``scores[k]``.  The keys are integers that need not be contiguous, so
+    one call may hold many independent problems (rows keyed by frame and gt
+    track, say).  The result equals ``hungarian_max`` on the dense matrix
+    whose rows and columns are the sorted distinct keys, with every other
+    cell infeasible.
+
+    Returns:
+        A boolean mask over the cells, true for the chosen ones.
+    """
+    r = np.asarray(rows)
+    c = np.asarray(cols)
+    s = np.asarray(scores, dtype=np.float64)
+    if r.ndim != 1 or c.ndim != 1 or s.ndim != 1:
+        raise ValueError(f"rows, cols and scores must be 1-D, got {r.ndim}, {c.ndim}, {s.ndim} dims")
+    if not len(r) == len(c) == len(s):
+        raise ValueError(f"rows, cols and scores differ in length: {len(r)}, {len(c)}, {len(s)}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must all be finite")
+    if len(s) == 0:
+        return np.zeros(0, dtype=bool)
+    row_keys, ri = np.unique(r, return_inverse=True)
+    col_keys, ci = np.unique(c, return_inverse=True)
+    return _assign_dense(ri, ci, len(row_keys), len(col_keys), s)
+
+
+def _assign_dense(
+    ri: np.ndarray, ci: np.ndarray, n_rows: int, n_cols: int, s: np.ndarray
+) -> np.ndarray:
+    """``assign_cells`` on row ids in [0, n_rows) and column ids in [0, n_cols).
+
+    The ids order rows and columns as their keys do.
+    """
+    take = np.zeros(len(s), dtype=bool)
+    # A cell alone in its row and its column is a component of its own: it
+    # is taken iff its score is >= 0 (a zero-score cell is pure cardinality
+    # gain, a negative one only lowers the total), which is exactly what the
+    # general rules reduce to for 1x1 components.  A duplicate cell shares
+    # its row, so it is never lone and is caught below.
+    lone = (np.bincount(ri)[ri] == 1) & (np.bincount(ci)[ci] == 1)
+    take[lone] = s[lone] >= 0.0
+    rest = np.flatnonzero(~lone)
+    if len(rest) == 0:
+        return take
+
+    # Components by min-label propagation over row nodes [0, n_rows) and
+    # column nodes [n_rows, n_rows + n_cols).  Every label is a node of its
+    # own component and never exceeds it, so the pointer jump keeps both
+    # properties; the loop ends once every edge joins equal labels.
+    rr, cc = ri[rest], ci[rest] + n_rows
+    label = np.arange(n_rows + n_cols)
+    while True:
+        low = np.minimum(label[rr], label[cc])
+        np.minimum.at(label, rr, low)
+        np.minimum.at(label, cc, low)
+        label = label[label]
+        comp = label[rr]
+        if np.array_equal(comp, label[cc]):
+            break
+
+    # Sorted by (component, row, column), each component's cells are
+    # contiguous and row-major.  Sorted by (component, column) they fill the
+    # same ranges, so one pass over each order ranks every cell's row and
+    # column among the distinct ones of its component.
+    order = np.lexsort((cc, rr, comp))
+    comp, rr, cc, cell = comp[order], rr[order], cc[order], rest[order]
+    same_comp = comp[1:] == comp[:-1]
+    same_row = same_comp & (rr[1:] == rr[:-1])
+    if np.any(same_row & (cc[1:] == cc[:-1])):
+        raise ValueError("cells must be distinct, got a duplicate (row, col) cell")
+    first = np.concatenate(([True], ~same_comp))
+    seg = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    i_loc = _local_rank(same_row, seg, starts)
+    by_col = np.lexsort((cc, comp))
+    cc_by_col = cc[by_col]
+    j_loc = np.empty_like(i_loc)
+    j_loc[by_col] = _local_rank(same_comp & (cc_by_col[1:] == cc_by_col[:-1]), seg, starts)
+
+    ends = np.append(starts[1:], len(cell))
+    n_loc_rows = (i_loc[ends - 1] + 1).tolist()
+    n_loc_cols = (np.maximum.reduceat(j_loc, starts) + 1).tolist()
+    i_list, j_list, s_list = i_loc.tolist(), j_loc.tolist(), s[cell].tolist()
+    chosen: list[int] = []
+    for k, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        cells = list(zip(i_list[lo:hi], j_list[lo:hi], s_list[lo:hi]))
+        chosen.extend(lo + x for x in _solve_component(cells, n_loc_rows[k], n_loc_cols[k]))
+    take[cell[chosen]] = True
+    return take
+
+
+def _local_rank(same_as_prev: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Rank of each sorted cell's key among the distinct keys of its component.
+
+    ``same_as_prev[k]`` says cell k + 1 has cell k's key in the same
+    component; ``seg`` maps each cell to its component and ``starts`` holds
+    each component's first position.
+    """
+    rank = np.cumsum(np.concatenate(([True], ~same_as_prev))) - 1
+    return rank - rank[starts][seg]
 
 
 def _encode_cells(
@@ -141,34 +206,29 @@ def _encode_cells(
     return out
 
 
-def _solve_component(
-    s: np.ndarray, feas: np.ndarray, rows: list[int], cols: list[int]
-) -> list[tuple[int, int]]:
-    n_rows, n_cols = len(rows), len(cols)
-    cells: list[tuple[int, int, float]] = []
-    for i_loc, gi in enumerate(rows):
-        for j_loc, gj in enumerate(cols):
-            if feas[gi, gj]:
-                cells.append((i_loc, j_loc, float(s[gi, gj])))
+def _solve_component(cells: list[tuple[int, int, float]], n_rows: int, n_cols: int) -> list[int]:
+    """Exact solve of one component given as row-major (row, col, score) cells.
+
+    Rows and columns are local ranks in [0, n_rows) and [0, n_cols); the
+    result holds the positions in ``cells`` of the chosen ones.
+    """
     encoded = _encode_cells(cells, n_rows, n_cols)
 
     if n_rows == 1 or n_cols == 1:
         # At most one pair can be selected; argmax over encoded weights.
         best = None
-        for (i_loc, j_loc, _), enc in zip(cells, encoded):
+        for k, enc in enumerate(encoded):
             if enc > 0 and (best is None or enc > best[0]):
-                best = (enc, i_loc, j_loc)
-        if best is None:
-            return []
-        return [(rows[best[1]], cols[best[2]])]
+                best = (enc, k)
+        return [] if best is None else [best[1]]
 
     # Tiny components: enumerate matchings outright.  The encoding gives
     # every distinct matching a distinct integer sum whose order embeds the
     # full preference chain, so the argmax over sums is the same matching
     # the O(n^3) solve would return, without the big-integer machinery.
-    row_cells: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
-    for (i_loc, j_loc, _), enc in zip(cells, encoded):
-        row_cells[i_loc].append((j_loc, enc))
+    row_cells: list[list[tuple[int, int, int]]] = [[] for _ in range(n_rows)]
+    for k, ((i_loc, j_loc, _), enc) in enumerate(zip(cells, encoded)):
+        row_cells[i_loc].append((j_loc, enc, k))
     work = 1
     for rc in row_cells:
         work *= len(rc) + 1
@@ -176,39 +236,37 @@ def _solve_component(
             break
     if work <= 200:
         best_sum = 0
-        best_pairs: tuple[tuple[int, int], ...] = ()
-        chosen: list[tuple[int, int]] = []
+        best_cells: tuple[int, ...] = ()
+        chosen: list[int] = []
 
         def walk(idx: int, used: int, acc: int) -> None:
-            nonlocal best_sum, best_pairs
+            nonlocal best_sum, best_cells
             if idx == n_rows:
                 if acc > best_sum:
                     best_sum = acc
-                    best_pairs = tuple(chosen)
+                    best_cells = tuple(chosen)
                 return
             walk(idx + 1, used, acc)
-            for j_loc, enc in row_cells[idx]:
+            for j_loc, enc, k in row_cells[idx]:
                 bit = 1 << j_loc
                 if not used & bit:
-                    chosen.append((idx, j_loc))
+                    chosen.append(k)
                     walk(idx + 1, used | bit, acc + enc)
                     chosen.pop()
 
         walk(0, 0, 0)
-        return [(rows[i_loc], cols[j_loc]) for i_loc, j_loc in best_pairs]
+        return list(best_cells)
 
-    enc_map = {(i_loc, j_loc): enc for (i_loc, j_loc, _), enc in zip(cells, encoded)}
+    cell_at = {(i_loc, j_loc): k for k, (i_loc, j_loc, _) in enumerate(cells)}
     big = sum(abs(e) for e in encoded) + 1
     size = n_rows + n_cols
     # Square min-cost matrix: real cells negated, each real row/column gets
     # a private zero-cost dummy ("stay unmatched"), dummy-dummy is free, and
     # everything else costs `big` so the optimum provably avoids it.
     cost = [[big] * size for _ in range(size)]
+    for (i_loc, j_loc, _), enc in zip(cells, encoded):
+        cost[i_loc][j_loc] = -enc
     for i_loc in range(n_rows):
-        for j_loc in range(n_cols):
-            enc = enc_map.get((i_loc, j_loc))
-            if enc is not None:
-                cost[i_loc][j_loc] = -enc
         cost[i_loc][n_cols + i_loc] = 0
     for j_loc in range(n_cols):
         dummy_row = cost[n_rows + j_loc]
@@ -221,9 +279,10 @@ def _solve_component(
     for i_loc in range(n_rows):
         j_loc = col_of_row[i_loc]
         if j_loc < n_cols:
-            if (i_loc, j_loc) not in enc_map:
+            k = cell_at.get((i_loc, j_loc))
+            if k is None:
                 raise InternalInvariantError("assignment selected a forbidden cell")
-            out.append((rows[i_loc], cols[j_loc]))
+            out.append(k)
     return out
 
 

@@ -12,6 +12,13 @@ A_glob + S/1000; the small similarity term only breaks ties between
 globally equivalent pairs.  Matched detections are TPs, leftover gt
 detections FNs, leftover predictions FPs.
 
+A sequence's pool is flat: one entry per (frame, gt, pred) cell whose
+similarity is > 0, the only cells any alpha in (0, 1) can admit, each with
+the id of its (gt, pred) pair.  Pass one is then one ``np.bincount`` over
+the pair ids of the cells that reach alpha, and pass two one
+``assign_cells`` call for all frames at once, rows keyed by (frame, gt) and
+columns by (frame, pred), so frames stay independent problems.
+
 Association accuracy averages, over TPs, A(c) = TPA / (TPA + FNA + FPA).
 Every gt detection is a TP or an FN and every prediction a TP or an FP, so
 for a TP of pair (g, p) with m matched frames this is exactly
@@ -40,7 +47,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .assignment import hungarian_max
+from .assignment import assign_cells
 from .classification import SPLITS, CategoryBank
 from .io import SchemaError, SequenceTracks, TrackRecord
 from .maskops import box_iou_matrix, mask_iou_matrix
@@ -72,6 +79,12 @@ def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
+def _check_alpha(alpha: float) -> None:
+    # NaN fails the comparison too.
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alphas must lie strictly inside (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
@@ -85,8 +98,7 @@ class EvalConfig:
             raise ValueError("alphas must not be empty")
         prev = 0.0
         for a in self.alphas:
-            if not (0.0 < a < 1.0):
-                raise ValueError(f"alphas must lie strictly inside (0, 1), got {a}")
+            _check_alpha(a)
             if a <= prev:
                 raise ValueError("alphas must be strictly increasing")
             prev = a
@@ -106,11 +118,15 @@ class _PoolData:
     pred_len: np.ndarray
     gt_total: int
     pred_total: int
-    # (frame, gt indices present, pred indices present, similarity matrix,
-    # open-mesh index grid for scattering into (n_gt, n_pred) arrays);
-    # frames where either side is absent carry no matchable pairs and are
-    # dropped here (their detections are still counted via the totals).
-    frames: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]]
+    # One entry per (frame, gt, pred) cell with similarity > 0, in frame
+    # order and row-major within a frame; ``pair`` numbers the distinct
+    # (gt, pred) pairs in row-major order.  Every alpha is > 0, so no other
+    # cell can ever match.
+    frame: np.ndarray
+    gt: np.ndarray
+    pred: np.ndarray
+    sim: np.ndarray
+    pair: np.ndarray
     box_fallback_pairs: int
 
 
@@ -133,9 +149,10 @@ def _build_pool(
     geometry: str,
     same_category: bool = False,
 ) -> _PoolData:
-    """Per-frame similarity of every (gt, pred) pair present in the frame.
+    """Similarity of every (gt, pred) pair in each frame where both are present.
 
-    With ``same_category`` a pair whose category ids differ gets similarity
+    Only the cells with similarity > 0 are kept, as flat arrays.  With
+    ``same_category`` a pair whose category ids differ gets similarity
     0, below every alpha, so it never matches, and it is not counted as a
     box fallback.
     """
@@ -154,7 +171,8 @@ def _build_pool(
     for obs in pred_obs:
         frame_set.update(obs)
 
-    frames = []
+    # An empty first part fixes the dtypes when no cell is kept.
+    parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     fallback = 0
     for frame in sorted(frame_set):
         g_idx = [i for i, obs in enumerate(gt_obs) if frame in obs]
@@ -176,7 +194,10 @@ def _build_pool(
             masked = np.zeros(sim.shape, dtype=bool)
             masked[block] = True
             fallback += int(np.count_nonzero(same & ~masked))
-        frames.append((frame, g_arr, p_arr, np.where(same, sim, 0.0), np.ix_(g_arr, p_arr)))
+        a, b = np.nonzero(same & (sim > 0.0))
+        parts.append((np.full(len(a), frame), g_arr[a], p_arr[b], sim[a, b]))
+    frame_of, g, p, sim = (np.concatenate(col) for col in zip(*parts))
+    _, pair = np.unique(g * len(pred_tracks) + p, return_inverse=True)
     return _PoolData(
         gt_ids=[t.track_id for t in gt_tracks],
         pred_ids=[t.track_id for t in pred_tracks],
@@ -184,7 +205,11 @@ def _build_pool(
         pred_len=np.array([len(o) for o in pred_obs], dtype=np.int64),
         gt_total=int(sum(len(o) for o in gt_obs)),
         pred_total=int(sum(len(o) for o in pred_obs)),
-        frames=frames,
+        frame=frame_of,
+        gt=g,
+        pred=p,
+        sim=sim,
+        pair=pair,
         box_fallback_pairs=fallback,
     )
 
@@ -195,25 +220,20 @@ def _match(pool: _PoolData, alpha: float) -> tuple[np.ndarray, ...]:
     Returns (frame, gt index, pred index, similarity) of every TP as four
     aligned arrays, in frame order and by row within a frame.
     """
-    count = np.zeros((len(pool.gt_ids), len(pool.pred_ids)), dtype=np.int64)
-    for _, _, _, sim, grid in pool.frames:
-        count[grid] += sim >= alpha
-
-    # An empty first part fixes the dtypes when nothing matches.
-    parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
-    for frame, g_idx, p_idx, sim, grid in pool.frames:
-        feasible = sim >= alpha
-        if not feasible.any():
-            continue
-        # A_glob on this frame's pairs only; T_g + T_p - C >= 1 since no
-        # track is empty.
-        c = count[grid]
-        a_glob = c / (pool.gt_len[g_idx][:, None] + pool.pred_len[p_idx] - c)
-        pairs = hungarian_max(a_glob + sim / TIE_BREAK_DIVISOR, feasible)
-        if pairs:
-            a, b = np.array(pairs).T
-            parts.append((np.full(len(a), frame), g_idx[a], p_idx[b], sim[a, b]))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    feasible = pool.sim >= alpha
+    frame, g, p = pool.frame[feasible], pool.gt[feasible], pool.pred[feasible]
+    sim, pair = pool.sim[feasible], pool.pair[feasible]
+    # Pass one: C per pair; T_g + T_p - C >= 1 since no track is empty.
+    c = np.bincount(pair)[pair]
+    a_glob = c / (pool.gt_len[g] + pool.pred_len[p] - c)
+    # Pass two: every frame's assignment in one call, rows keyed by
+    # (frame, gt) and columns by (frame, pred).
+    take = assign_cells(
+        frame * len(pool.gt_ids) + g,
+        frame * len(pool.pred_ids) + p,
+        a_glob + sim / TIE_BREAK_DIVISOR,
+    )
+    return frame[take], g[take], p[take], sim[take]
 
 
 def _group_sums(
@@ -256,6 +276,7 @@ def match_frames(
     Returns (per-frame TP matches as {frame: [(gt_id, pred_id), ...]},
     FN count, FP count).
     """
+    _check_alpha(alpha)
     pool = _build_pool(gt_tracks, pred_tracks, geometry)
     frames, g, p, _ = _match(pool, alpha)
     matches: dict[int, list[tuple[int, int]]] = {}
@@ -277,6 +298,7 @@ def hota_alpha(
     (DetRe, AssA, OWTA_alpha) in open mode.
     """
     _check_choice("mode", mode, MODES)
+    _check_alpha(alpha)
     pool = _build_pool(gt_tracks, pred_tracks, geometry)
     one_group = np.zeros(len(pool.gt_ids), dtype=np.int64)
     tp, ass, _ = _group_sums(pool, _match(pool, alpha), one_group, 1)

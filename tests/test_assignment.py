@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from letrack.assignment import hungarian_max
+from letrack import assignment
+from letrack.assignment import assign_cells, hungarian_max
 
 from oracles import assignment_oracle
 
@@ -143,3 +144,102 @@ def test_sparse_feasibility_with_single_cells_matches_oracle(data):
     feasible = np.array(draws).reshape(n, m) < density
     scores = np.array(data.draw(st.lists(_SCORES, min_size=n * m, max_size=n * m))).reshape(n, m)
     assert hungarian_max(scores, feasible) == assignment_oracle(scores, feasible)
+
+
+# ---------------------------------------------------------------------------
+# assign_cells: sparse cells with many independent problems
+
+
+def _chosen(rows, cols, scores):
+    take = assign_cells(np.array(rows), np.array(cols), np.array(scores))
+    return sorted((r, c) for r, c, t in zip(rows, cols, take.tolist()) if t)
+
+
+def _dense_cells(scores, feasible, row_keys, col_keys):
+    """Feasible cells of a dense block as (row key, col key, score) triples."""
+    return [
+        (row_keys[i], col_keys[j], float(scores[i][j]))
+        for i in range(len(row_keys))
+        for j in range(len(col_keys))
+        if feasible[i][j]
+    ]
+
+
+_TIE_SCORES = st.sampled_from([0.0, -0.0, -0.25, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_assign_cells_blocks_match_oracle(data):
+    # Independent blocks whose keys interleave with gaps (the pools are
+    # drawn in no order), cells in shuffled order: each block must be solved
+    # as if it were alone, with its rows and columns ranked by key.
+    block = st.tuples(st.integers(1, 6), st.integers(1, 6))
+    shapes = data.draw(st.lists(block, min_size=1, max_size=4), label="shapes")
+    n_rows, n_cols = sum(n for n, _ in shapes), sum(m for _, m in shapes)
+    row_pool = data.draw(st.lists(st.integers(-500, 500), min_size=n_rows, max_size=n_rows, unique=True))
+    col_pool = data.draw(st.lists(st.integers(0, 10**9), min_size=n_cols, max_size=n_cols, unique=True))
+    cells, want = [], []
+    for n, m in shapes:
+        row_keys, row_pool = sorted(row_pool[:n]), row_pool[n:]
+        col_keys, col_pool = sorted(col_pool[:m]), col_pool[m:]
+        density = data.draw(st.floats(0.2, 1.0), label="density")
+        feasible = [[data.draw(st.floats(0.0, 1.0)) < density for _ in range(m)] for _ in range(n)]
+        scores = [[data.draw(_TIE_SCORES) for _ in range(m)] for _ in range(n)]
+        cells += _dense_cells(scores, feasible, row_keys, col_keys)
+        want += [(row_keys[i], col_keys[j]) for i, j in assignment_oracle(scores, feasible)]
+    cells = data.draw(st.permutations(cells), label="order")
+    rows, cols, scores = (list(v) for v in zip(*cells)) if cells else ([], [], [])
+    assert _chosen(rows, cols, scores) == sorted(want)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_assign_cells_single_row_and_single_column_components(k):
+    scores = [0.25, 1.0, -0.25, 1.0, 0.5][:k]
+    keys = [3 * j + 7 for j in range(k)]
+    want = assignment_oracle([scores], [[True] * k])
+    assert _chosen([4] * k, keys, scores) == [(4, keys[j]) for _, j in want]
+    want = assignment_oracle([[v] for v in scores], [[True]] * k)
+    assert _chosen(keys, [4] * k, scores) == [(keys[i], 4) for i, _ in want]
+
+
+def test_assign_cells_full_block_takes_the_exact_solver(monkeypatch):
+    # 6**5 row choices exceed the enumeration budget, so this block goes
+    # through _min_cost_perfect; tie-heavy scores probe its tie-break.
+    calls = []
+    solve = assignment._min_cost_perfect
+
+    def spy(cost, inf):
+        calls.append(len(cost))
+        return solve(cost, inf)
+
+    monkeypatch.setattr(assignment, "_min_cost_perfect", spy)
+    rng = np.random.default_rng(5)
+    scores = rng.choice([0.0, 0.25, 0.5, 1.0], (5, 5))
+    feasible = np.ones((5, 5), dtype=bool)
+    row_keys, col_keys = [2, 3, 5, 8, 13], [60, 70, 80, 90, 100]
+    cells = _dense_cells(scores, feasible, row_keys, col_keys)
+    want = [(row_keys[i], col_keys[j]) for i, j in assignment_oracle(scores, feasible)]
+    assert _chosen(*zip(*cells)) == want
+    assert calls == [10]
+
+
+def test_assign_cells_empty_input():
+    take = assign_cells(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    assert take.dtype == bool and take.shape == (0,)
+
+
+def test_assign_cells_rejects_bad_input():
+    with pytest.raises(ValueError, match="1-D"):
+        assign_cells(np.zeros((2, 1), np.int64), np.zeros(2, np.int64), np.zeros(2))
+    with pytest.raises(ValueError, match="1-D"):
+        assign_cells(np.zeros(2, np.int64), np.zeros(2, np.int64), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="length"):
+        assign_cells(np.arange(3), np.arange(2), np.zeros(3))
+    with pytest.raises(ValueError, match="length"):
+        assign_cells(np.arange(2), np.arange(2), np.zeros(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            assign_cells(np.arange(2), np.arange(2), np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="duplicate"):
+        assign_cells(np.array([0, 1, 0]), np.array([4, 4, 4]), np.array([0.5, 0.5, 0.25]))

@@ -15,6 +15,7 @@ from letrack.metrics import (
     hota_alpha,
     match_frames,
 )
+from letrack.rng import SplitMix64
 
 from helpers import box_track, meta, seq_tracks, two_split_bank
 from oracles import hota_oracle
@@ -44,6 +45,19 @@ def test_eval_config_validation():
         hota_alpha(gt, pred, 0.5, geometry="pixels")
     with pytest.raises(ValueError, match="geometry"):
         match_frames(gt, pred, 0.5, geometry="pixels")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, float("nan")])
+def test_single_pool_functions_reject_alphas_outside_unit_interval(alpha):
+    # alpha <= 0 would admit pairs with IoU 0; the pool only keeps pairs
+    # with similarity > 0, as EvalConfig's alphas require.
+    gt, pred = id_switch_pool()
+    with pytest.raises(ValueError, match="strictly inside"):
+        EvalConfig(alphas=(alpha,))
+    with pytest.raises(ValueError, match="strictly inside"):
+        hota_alpha(gt, pred, alpha)
+    with pytest.raises(ValueError, match="strictly inside"):
+        match_frames(gt, pred, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +164,66 @@ def test_evaluate_lists_every_empty_or_duplicate_frame_track():
         "ground truth sequence 'a': track 2 has no observations",
         "prediction sequence 'a': track 7 has duplicate observations for frame(s) 0",
     ]
+
+
+def id_switch_category_inputs():
+    """Six gt tracks of one category, each covered by several preds in turn.
+
+    Each gt track's frames are cut into runs of 1-6 and every run goes to a
+    seeded pred id, so pred ids are not in gt order and preds switch between
+    gt tracks; gt-major and pred-major pair orders then differ.  Pred boxes
+    shift by 0-3 px, so the matches thin out as alpha rises.
+    """
+    rng = SplitMix64(11)
+    n_frames = 24
+    gt = [
+        box_track(g, [(f, (16 * g, 0, 10, 10)) for f in range(n_frames)], category_id=1)
+        for g in range(1, 7)
+    ]
+    gt.append(box_track(7, [(f, (0, 30, 10, 10)) for f in range(8)], category_id=2))
+    followed: dict[int, dict[int, int]] = {}  # pred id -> {frame: gt id}
+    for g in range(1, 7):
+        f = 0
+        while f < n_frames:
+            run = range(f, min(n_frames, f + 1 + rng.randint(6)))
+            pid = 1 + rng.randint(12)
+            while any(fr in followed.get(pid, {}) for fr in run):
+                pid += 1
+            followed.setdefault(pid, {}).update({fr: g for fr in run})
+            f = run.stop
+    pred = [
+        box_track(
+            pid,
+            [(fr, (16 * g + rng.randint(4), 0, 10, 10)) for fr, g in sorted(fg.items())],
+            category_id=1,
+        )
+        for pid, fg in sorted(followed.items())
+    ]
+    pred.append(box_track(99, [(f, (1, 30, 10, 10)) for f in range(1, 6)], category_id=2))
+    return [seq_tracks(gt, w=128, n=n_frames)], [seq_tracks(pred, w=128, n=n_frames)], two_split_bank()
+
+
+# Per-alpha AssA of the "all" split for `id_switch_category_inputs`; pred
+# shifts of 0-3 px give four IoU levels, so four runs of equal values.
+# Closed mode sums A(c) over a category's (gt, pred) pairs in gt-major
+# order: the same sum in pred-major order differs in the last bits.
+PINNED_ID_SWITCH_ASSA = {
+    "closed": (0.413619218988267,) * 10
+    + (0.39688290657718134,) * 3
+    + (0.3607194115543535,) * 3
+    + (0.03749405365463568,) * 3,
+    "open": (0.21642506757463686,) * 10
+    + (0.18860208214765115,) * 3
+    + (0.1303209498325079,) * 3
+    + (0.07498810730927137,) * 3,
+}
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_id_switch_category_assa_is_pinned(mode):
+    gt, pred, bank = id_switch_category_inputs()
+    rep = evaluate(gt, pred, bank, EvalConfig(mode=mode, geometry="box"))
+    assert rep.splits["all"].per_alpha["AssA"] == PINNED_ID_SWITCH_ASSA[mode]
 
 
 # ---------------------------------------------------------------------------
