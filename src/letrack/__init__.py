@@ -31,7 +31,6 @@ from .classification import (
 from .core import (
     BBox,
     Detection,
-    GtAnnotation,
     InternalInvariantError,
     SequenceMeta,
     TrackState,
@@ -89,7 +88,6 @@ __all__ = [
     "EvalConfig",
     "FrameAssignment",
     "FrameDetections",
-    "GtAnnotation",
     "InternalInvariantError",
     "MetricsReport",
     "RleMask",

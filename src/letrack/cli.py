@@ -27,24 +27,21 @@ from collections import Counter
 from typing import Any, Callable
 
 from .association import TrackerConfig, track_sequence
-from .core import InternalInvariantError, SequenceMeta
+from .core import InternalInvariantError
 from .io import (
     ConfigError,
     SchemaError,
-    SequenceTracks,
-    TrackObservation,
-    TrackRecord,
     bank_to_jsonable,
     detections_to_jsonable,
     dumps_canonical,
     load_bank,
+    load_burst,
     load_detections,
     load_flat_config,
     load_tracks,
     tracks_to_jsonable,
     write_json_files,
 )
-from .maskops import RleMask, mask_to_box, validate_rle
 from .metrics import DEFAULT_ALPHAS, EvalConfig, evaluate
 from .parallel import map_ordered
 from .synth import SynthConfig, generate
@@ -164,122 +161,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_burst(args: argparse.Namespace) -> int:
-    import json
-
-    try:
-        with open(args.input, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as e:
-        raise SchemaError([f"{args.input}: invalid JSON: {e}"]) from None
-    if not isinstance(raw, dict) or not isinstance(raw.get("sequences"), list):
-        raise SchemaError([f"{args.input}: expected an object with a 'sequences' array"])
-
-    warnings: list[str] = []
-    out_sequences: list[SequenceTracks] = []
-    for si, seq in enumerate(raw["sequences"]):
-        where = f"sequences[{si}]"
-        if not isinstance(seq, dict):
-            warnings.append(f"{where}: not an object, skipped")
-            continue
-        name = seq.get("seq_name") or seq.get("name")
-        height, width = seq.get("height"), seq.get("width")
-        segmentations = seq.get("segmentations")
-        if not isinstance(name, str) or not name:
-            warnings.append(f"{where}: missing sequence name, skipped")
-            continue
-        if not isinstance(height, int) or not isinstance(width, int) or height < 1 or width < 1:
-            warnings.append(f"{where} ({name}): missing or invalid height/width, skipped")
-            continue
-        if not isinstance(segmentations, list) or not segmentations:
-            warnings.append(f"{where} ({name}): missing 'segmentations' frames, skipped")
-            continue
-        categories = seq.get("track_category_ids")
-        categories = categories if isinstance(categories, dict) else {}
-
-        per_track: dict[int, list[TrackObservation]] = {}
-        for frame, frame_obj in enumerate(segmentations):
-            if not isinstance(frame_obj, dict):
-                warnings.append(f"{where} ({name}): segmentations[{frame}] not an object, skipped")
-                continue
-            for tid_str, payload in frame_obj.items():
-                try:
-                    tid = int(tid_str)
-                except ValueError:
-                    warnings.append(
-                        f"{where} ({name}): non-numeric track id {tid_str!r}, skipped"
-                    )
-                    continue
-                if tid < 1:
-                    warnings.append(f"{where} ({name}): track id {tid} < 1, skipped")
-                    continue
-                mask = _burst_mask(payload, height, width)
-                if mask is None:
-                    warnings.append(
-                        f"{where} ({name}): track {tid} frame {frame}: unsupported "
-                        "mask encoding (integer run counts required), skipped"
-                    )
-                    continue
-                per_track.setdefault(tid, []).append(
-                    TrackObservation(frame=frame, box=mask_to_box(mask), mask=mask)
-                )
-
-        tracks = []
-        for tid in sorted(per_track):
-            cat = categories.get(str(tid), categories.get(tid))
-            if not isinstance(cat, int) or isinstance(cat, bool):
-                warnings.append(
-                    f"{where} ({name}): track {tid} has no category id; left unlabeled"
-                )
-                cat = None
-            tracks.append(
-                TrackRecord(track_id=tid, observations=per_track[tid], category_id=cat)
-            )
-        if not tracks:
-            warnings.append(f"{where} ({name}): no usable tracks, sequence skipped")
-            continue
-        out_sequences.append(
-            SequenceTracks(
-                meta=SequenceMeta(
-                    name=name, height=height, width=width, num_frames=len(segmentations)
-                ),
-                tracks=tracks,
-            )
-        )
-
+    sequences, warnings = load_burst(args.input)
     _warn(warnings)
-    if not out_sequences:
+    if not sequences:
         raise SchemaError([f"{args.input}: no convertible sequences"])
-    write_json_files([(args.out, dumps_canonical(tracks_to_jsonable(out_sequences)))])
+    write_json_files([(args.out, dumps_canonical(tracks_to_jsonable(sequences)))])
     print(
-        f"imported {len(out_sequences)} sequence(s) -> {args.out}"
+        f"imported {len(sequences)} sequence(s) -> {args.out}"
         + (f" ({len(warnings)} warning(s))" if warnings else ""),
         file=sys.stderr,
     )
     return 0
-
-
-def _burst_mask(payload: Any, height: int, width: int) -> RleMask | None:
-    """Integer-run-counts mask out of the few shapes such dumps use."""
-    if not isinstance(payload, dict):
-        return None
-    inner = payload.get("rle", payload)
-    if not isinstance(inner, dict):
-        return None  # compressed string form: not supported
-    counts = inner.get("counts")
-    if not isinstance(counts, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in counts
-    ):
-        return None
-    size = inner.get("size", [height, width])
-    if (
-        not isinstance(size, list)
-        or len(size) != 2
-        or not all(isinstance(s, int) and not isinstance(s, bool) for s in size)
-        or tuple(size) != (height, width)
-    ):
-        return None
-    mask = RleMask(size=(height, width), counts=tuple(counts))
-    return mask if not validate_rle(mask) else None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BBox",
     "Detection",
-    "GtAnnotation",
     "InternalInvariantError",
     "SequenceMeta",
     "TrackState",
@@ -89,17 +88,6 @@ class TrackState:
     observations: list[tuple[int, Detection]]
     status: TrackStatus = TrackStatus.ACTIVE
     category_votes: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, eq=False)
-class GtAnnotation:
-    """One ground-truth observation: a track's geometry in one frame."""
-
-    track_id: int
-    category_id: int
-    frame_index: int
-    box: BBox
-    mask: Optional["RleMask"] = None
 
 
 @dataclass(frozen=True)

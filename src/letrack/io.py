@@ -12,6 +12,22 @@ prefixed with the JSON path of the offending value, e.g.
 ``sequences[0].frames[2].detections[0].box: expected 4 numbers``.  In
 strict mode (the default) unknown fields are errors; in lax mode they are
 collected as warnings instead.
+
+``tracks_from_burst`` converts a BURST annotation dump (Athar et al., WACV
+2023) to tracks::
+
+    {"sequences": [{
+      "seq_name": "clip01", "height": 4, "width": 4,
+      "segmentations": [{"1": {"rle": {"counts": [0, 2, 2, 2, 10], "size": [4, 4]}}}, {}],
+      "track_category_ids": {"1": 3}
+    }]}
+
+``segmentations`` holds one object per frame, keyed by track id.  A mask is
+COCO RLE with integer run counts, bare or wrapped in ``rle``; a missing
+``size`` means the sequence's.  ``name`` may stand for ``seq_name``.  It is
+lenient where the loaders are strict: whatever cannot be converted (COCO's
+compressed string counts, a bad size, a second key for one track id in a
+frame, a repeated sequence name) is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -21,13 +37,13 @@ import math
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
 from .classification import SPLITS, CategoryBank, CategoryEntry
 from .core import BBox, Detection, SequenceMeta, validate_sequence
-from .maskops import RleMask, validate_rle
+from .maskops import RleMask, mask_to_box, validate_rle
 
 __all__ = [
     "ConfigError",
@@ -43,12 +59,14 @@ __all__ = [
     "detections_to_jsonable",
     "dumps_canonical",
     "load_bank",
+    "load_burst",
     "load_detections",
     "load_tracks",
     "parse_flat_config",
     "save_bank",
     "save_detections",
     "save_tracks",
+    "tracks_from_burst",
     "tracks_from_jsonable",
     "tracks_to_jsonable",
     "write_json_files",
@@ -293,7 +311,9 @@ def _parse_vector(v: Any, path: str, ctx: _Ctx) -> np.ndarray | None:
 _MASK_KEYS = ("counts", "size")
 
 
-def _parse_mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int] | None) -> RleMask | None:
+def _parse_mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int]) -> RleMask | None:
+    """The mask at ``path``, or None if any issue was filed against it."""
+    n_issues = len(ctx.issues)
     obj = _get_obj(v, path, ctx)
     if obj is None:
         return None
@@ -309,15 +329,12 @@ def _parse_mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int] | None) 
     mask = RleMask(size=(size_v[0], size_v[1]), counts=tuple(counts_v))
     for msg in validate_rle(mask):
         ctx.issue(path, msg)
-    if seq_size is not None and tuple(mask.size) != seq_size:
+    if tuple(mask.size) != seq_size:
         ctx.issue(
             f"{path}.size",
             f"mask size {tuple(mask.size)} does not match sequence size {seq_size}",
         )
-    return mask
-
-
-_SEQ_COMMON_KEYS = ("name", "height", "width", "num_frames")
+    return mask if len(ctx.issues) == n_issues else None
 
 
 def _parse_meta(obj: dict, path: str, ctx: _Ctx) -> SequenceMeta | None:
@@ -330,12 +347,59 @@ def _parse_meta(obj: dict, path: str, ctx: _Ctx) -> SequenceMeta | None:
     return SequenceMeta(name=name, height=height, width=width, num_frames=num_frames)
 
 
+def _sequences(obj: Any, ctx: _Ctx, body_key: str) -> Iterator[tuple[str, SequenceMeta, list]]:
+    """Yield (path, meta, body) for each sequence whose shared fields parse.
+
+    Checks what every sequence document shares, filing issues on ``ctx``:
+    the root object, the ``sequences`` array, each sequence's unknown keys,
+    its meta, its ``body_key`` array and duplicate sequence names.
+    """
+    root = _get_obj(obj, "$", ctx)
+    if root is None:
+        return
+    ctx.check_keys(root, "$", ("sequences",))
+    if "sequences" not in root:
+        ctx.issue("sequences", "missing required field")
+        return
+    seq_list = _get_list(root["sequences"], "sequences", ctx)
+    if seq_list is None:
+        return
+    known = ("name", "height", "width", "num_frames", body_key)
+    names: set[str] = set()
+    for si, seq_v in enumerate(seq_list):
+        path = f"sequences[{si}]"
+        seq_obj = _get_obj(seq_v, path, ctx)
+        if seq_obj is None:
+            continue
+        ctx.check_keys(seq_obj, path, known)
+        meta = _parse_meta(seq_obj, path, ctx)
+        if body_key not in seq_obj:
+            ctx.issue(f"{path}.{body_key}", "missing required field")
+            continue
+        body = _get_list(seq_obj[body_key], f"{path}.{body_key}", ctx)
+        if meta is None or body is None:
+            continue
+        if meta.name in names:
+            ctx.issue(f"{path}.name", f"duplicate sequence name {meta.name!r}")
+        names.add(meta.name)
+        yield path, meta, body
+
+
+def _seq_to_jsonable(meta: SequenceMeta, body_key: str, body: list) -> dict:
+    return {
+        "name": meta.name,
+        "height": meta.height,
+        "width": meta.width,
+        "num_frames": meta.num_frames,
+        body_key: body,
+    }
+
+
 # ---------------------------------------------------------------------------
 # detections file
 
 _DET_KEYS = ("box", "score", "mask", "app_emb", "cls_emb")
 _FRAME_KEYS = ("index", "detections")
-_DET_SEQ_KEYS = _SEQ_COMMON_KEYS + ("frames",)
 
 
 def detections_from_jsonable(
@@ -347,94 +411,69 @@ def detections_from_jsonable(
     anything is invalid.
     """
     ctx = _Ctx(lax=lax)
-    root = _get_obj(obj, "$", ctx)
     sequences: list[SequenceDetections] = []
-    if root is not None:
-        ctx.check_keys(root, "$", ("sequences",))
-        seq_list = _get_list(root.get("sequences"), "sequences", ctx) if "sequences" in root else None
-        if "sequences" not in root:
-            ctx.issue("sequences", "missing required field")
-        if seq_list is not None:
-            names: set[str] = set()
-            for si, seq_v in enumerate(seq_list):
-                spath = f"sequences[{si}]"
-                seq_obj = _get_obj(seq_v, spath, ctx)
-                if seq_obj is None:
+    for spath, meta, frames_list in _sequences(obj, ctx, "frames"):
+        seq_size = (meta.height, meta.width)
+        frames: list[FrameDetections] = []
+        prev_index: int | None = None
+        for fi, fr_v in enumerate(frames_list):
+            fpath = f"{spath}.frames[{fi}]"
+            fr_obj = _get_obj(fr_v, fpath, ctx)
+            if fr_obj is None:
+                continue
+            ctx.check_keys(fr_obj, fpath, _FRAME_KEYS)
+            index = _get_int(fr_obj, "index", fpath, ctx, minimum=0)
+            dets_list = _get_list(fr_obj.get("detections"), f"{fpath}.detections", ctx)
+            if "detections" not in fr_obj:
+                ctx.issue(f"{fpath}.detections", "missing required field")
+            if index is None or dets_list is None:
+                continue
+            if index >= meta.num_frames:
+                ctx.issue(
+                    f"{fpath}.index",
+                    f"frame index {index} out of range for {meta.num_frames} frames",
+                )
+            if prev_index is not None and index <= prev_index:
+                ctx.issue(f"{fpath}.index", "frame indices must be strictly ascending")
+            prev_index = index
+            dets: list[Detection] = []
+            for di, det_v in enumerate(dets_list):
+                dpath = f"{fpath}.detections[{di}]"
+                det_obj = _get_obj(det_v, dpath, ctx)
+                if det_obj is None:
                     continue
-                ctx.check_keys(seq_obj, spath, _DET_SEQ_KEYS)
-                meta = _parse_meta(seq_obj, spath, ctx)
-                frames_v = seq_obj.get("frames")
-                if frames_v is None:
-                    ctx.issue(f"{spath}.frames", "missing required field")
+                ctx.check_keys(det_obj, dpath, _DET_KEYS)
+                for req in ("box", "score", "app_emb", "cls_emb"):
+                    if req not in det_obj:
+                        ctx.issue(f"{dpath}.{req}", "missing required field")
+                box = _parse_box(det_obj.get("box"), f"{dpath}.box", ctx)
+                score_v = det_obj.get("score")
+                if score_v is not None and not _is_num(score_v):
+                    ctx.issue(f"{dpath}.score", f"expected a number, got {score_v!r}")
+                    score_v = None
+                app = _parse_vector(det_obj.get("app_emb"), f"{dpath}.app_emb", ctx)
+                cls = _parse_vector(det_obj.get("cls_emb"), f"{dpath}.cls_emb", ctx)
+                mask = None
+                if det_obj.get("mask") is not None:
+                    mask = _parse_mask(det_obj["mask"], f"{dpath}.mask", ctx, seq_size)
+                if box is None or score_v is None or app is None or cls is None:
                     continue
-                frames_list = _get_list(frames_v, f"{spath}.frames", ctx)
-                if meta is None or frames_list is None:
-                    continue
-                if meta.name in names:
-                    ctx.issue(f"{spath}.name", f"duplicate sequence name {meta.name!r}")
-                names.add(meta.name)
-                seq_size = (meta.height, meta.width)
-                frames: list[FrameDetections] = []
-                prev_index: int | None = None
-                for fi, fr_v in enumerate(frames_list):
-                    fpath = f"{spath}.frames[{fi}]"
-                    fr_obj = _get_obj(fr_v, fpath, ctx)
-                    if fr_obj is None:
-                        continue
-                    ctx.check_keys(fr_obj, fpath, _FRAME_KEYS)
-                    index = _get_int(fr_obj, "index", fpath, ctx, minimum=0)
-                    dets_list = _get_list(fr_obj.get("detections"), f"{fpath}.detections", ctx)
-                    if "detections" not in fr_obj:
-                        ctx.issue(f"{fpath}.detections", "missing required field")
-                    if index is None or dets_list is None:
-                        continue
-                    if index >= meta.num_frames:
-                        ctx.issue(
-                            f"{fpath}.index",
-                            f"frame index {index} out of range for {meta.num_frames} frames",
-                        )
-                    if prev_index is not None and index <= prev_index:
-                        ctx.issue(f"{fpath}.index", "frame indices must be strictly ascending")
-                    prev_index = index
-                    dets: list[Detection] = []
-                    for di, det_v in enumerate(dets_list):
-                        dpath = f"{fpath}.detections[{di}]"
-                        det_obj = _get_obj(det_v, dpath, ctx)
-                        if det_obj is None:
-                            continue
-                        ctx.check_keys(det_obj, dpath, _DET_KEYS)
-                        for req in ("box", "score", "app_emb", "cls_emb"):
-                            if req not in det_obj:
-                                ctx.issue(f"{dpath}.{req}", "missing required field")
-                        box = _parse_box(det_obj.get("box"), f"{dpath}.box", ctx)
-                        score_v = det_obj.get("score")
-                        if score_v is not None and not _is_num(score_v):
-                            ctx.issue(f"{dpath}.score", f"expected a number, got {score_v!r}")
-                            score_v = None
-                        app = _parse_vector(det_obj.get("app_emb"), f"{dpath}.app_emb", ctx)
-                        cls = _parse_vector(det_obj.get("cls_emb"), f"{dpath}.cls_emb", ctx)
-                        mask = None
-                        if det_obj.get("mask") is not None:
-                            mask = _parse_mask(det_obj["mask"], f"{dpath}.mask", ctx, seq_size)
-                        if box is None or score_v is None or app is None or cls is None:
-                            continue
-                        dets.append(
-                            Detection(
-                                frame_index=index,
-                                box=box,
-                                objectness=float(score_v),
-                                app_emb=app,
-                                cls_emb=cls,
-                                mask=mask,
-                            )
-                        )
-                    frames.append(FrameDetections(index=index, detections=dets))
-                seq = SequenceDetections(meta=meta, frames=frames)
-                for msg in validate_sequence(meta, seq.all_detections()):
-                    ctx.issue(spath, msg)
-                sequences.append(seq)
-    warnings = ctx.finish()
-    return sequences, warnings
+                dets.append(
+                    Detection(
+                        frame_index=index,
+                        box=box,
+                        objectness=float(score_v),
+                        app_emb=app,
+                        cls_emb=cls,
+                        mask=mask,
+                    )
+                )
+            frames.append(FrameDetections(index=index, detections=dets))
+        seq = SequenceDetections(meta=meta, frames=frames)
+        for msg in validate_sequence(meta, seq.all_detections()):
+            ctx.issue(spath, msg)
+        sequences.append(seq)
+    return sequences, ctx.finish()
 
 
 def detections_to_jsonable(sequences: list[SequenceDetections]) -> dict:
@@ -454,15 +493,7 @@ def detections_to_jsonable(sequences: list[SequenceDetections]) -> dict:
                     item["mask"] = {"size": list(d.mask.size), "counts": list(d.mask.counts)}
                 dets.append(item)
             frames.append({"index": fr.index, "detections": dets})
-        out_seqs.append(
-            {
-                "name": seq.meta.name,
-                "height": seq.meta.height,
-                "width": seq.meta.width,
-                "num_frames": seq.meta.num_frames,
-                "frames": frames,
-            }
-        )
+        out_seqs.append(_seq_to_jsonable(seq.meta, "frames", frames))
     return {"sequences": out_seqs}
 
 
@@ -471,118 +502,93 @@ def detections_to_jsonable(sequences: list[SequenceDetections]) -> dict:
 
 _OBS_KEYS = ("frame", "box", "mask")
 _TRACK_KEYS = ("track_id", "category_id", "score", "observations")
-_TRACK_SEQ_KEYS = _SEQ_COMMON_KEYS + ("tracks",)
 
 
 def tracks_from_jsonable(obj: Any, lax: bool = False) -> tuple[list[SequenceTracks], list[str]]:
     """Parse and fully validate a tracks document (ground truth or predictions)."""
     ctx = _Ctx(lax=lax)
-    root = _get_obj(obj, "$", ctx)
     sequences: list[SequenceTracks] = []
-    if root is not None:
-        ctx.check_keys(root, "$", ("sequences",))
-        if "sequences" not in root:
-            ctx.issue("sequences", "missing required field")
-        seq_list = _get_list(root.get("sequences"), "sequences", ctx) if "sequences" in root else None
-        if seq_list is not None:
-            names: set[str] = set()
-            for si, seq_v in enumerate(seq_list):
-                spath = f"sequences[{si}]"
-                seq_obj = _get_obj(seq_v, spath, ctx)
-                if seq_obj is None:
+    for spath, meta, tracks_list in _sequences(obj, ctx, "tracks"):
+        seq_size = (meta.height, meta.width)
+        tracks: list[TrackRecord] = []
+        seen_ids: set[int] = set()
+        for ti, tr_v in enumerate(tracks_list):
+            tpath = f"{spath}.tracks[{ti}]"
+            tr_obj = _get_obj(tr_v, tpath, ctx)
+            if tr_obj is None:
+                continue
+            ctx.check_keys(tr_obj, tpath, _TRACK_KEYS)
+            track_id = _get_int(tr_obj, "track_id", tpath, ctx, minimum=1)
+            if track_id is not None:
+                if track_id in seen_ids:
+                    ctx.issue(f"{tpath}.track_id", f"duplicate track id {track_id}")
+                seen_ids.add(track_id)
+            category_id: int | None = None
+            if tr_obj.get("category_id") is not None:
+                cv = tr_obj["category_id"]
+                if not _is_int(cv):
+                    ctx.issue(f"{tpath}.category_id", f"expected an integer, got {cv!r}")
+                else:
+                    category_id = cv
+            score: float | None = None
+            if tr_obj.get("score") is not None:
+                sv = tr_obj["score"]
+                if not _is_num(sv) or not math.isfinite(float(sv)):
+                    ctx.issue(f"{tpath}.score", f"expected a finite number, got {sv!r}")
+                else:
+                    score = float(sv)
+            if "observations" not in tr_obj:
+                ctx.issue(f"{tpath}.observations", "missing required field")
+                continue
+            obs_list = _get_list(tr_obj["observations"], f"{tpath}.observations", ctx)
+            if obs_list is None or track_id is None:
+                continue
+            if len(obs_list) == 0:
+                ctx.issue(f"{tpath}.observations", "a track needs at least one observation")
+            observations: list[TrackObservation] = []
+            prev_frame: int | None = None
+            for oi, ob_v in enumerate(obs_list):
+                opath = f"{tpath}.observations[{oi}]"
+                ob_obj = _get_obj(ob_v, opath, ctx)
+                if ob_obj is None:
                     continue
-                ctx.check_keys(seq_obj, spath, _TRACK_SEQ_KEYS)
-                meta = _parse_meta(seq_obj, spath, ctx)
-                if "tracks" not in seq_obj:
-                    ctx.issue(f"{spath}.tracks", "missing required field")
+                ctx.check_keys(ob_obj, opath, _OBS_KEYS)
+                frame = _get_int(ob_obj, "frame", opath, ctx, minimum=0)
+                if "box" not in ob_obj:
+                    ctx.issue(f"{opath}.box", "missing required field")
+                box = _parse_box(ob_obj.get("box"), f"{opath}.box", ctx)
+                mask = None
+                if ob_obj.get("mask") is not None:
+                    mask = _parse_mask(ob_obj["mask"], f"{opath}.mask", ctx, seq_size)
+                if frame is None or box is None:
                     continue
-                tracks_list = _get_list(seq_obj.get("tracks"), f"{spath}.tracks", ctx)
-                if meta is None or tracks_list is None:
-                    continue
-                if meta.name in names:
-                    ctx.issue(f"{spath}.name", f"duplicate sequence name {meta.name!r}")
-                names.add(meta.name)
-                seq_size = (meta.height, meta.width)
-                tracks: list[TrackRecord] = []
-                seen_ids: set[int] = set()
-                for ti, tr_v in enumerate(tracks_list):
-                    tpath = f"{spath}.tracks[{ti}]"
-                    tr_obj = _get_obj(tr_v, tpath, ctx)
-                    if tr_obj is None:
-                        continue
-                    ctx.check_keys(tr_obj, tpath, _TRACK_KEYS)
-                    track_id = _get_int(tr_obj, "track_id", tpath, ctx, minimum=1)
-                    if track_id is not None:
-                        if track_id in seen_ids:
-                            ctx.issue(f"{tpath}.track_id", f"duplicate track id {track_id}")
-                        seen_ids.add(track_id)
-                    category_id: int | None = None
-                    if tr_obj.get("category_id") is not None:
-                        cv = tr_obj["category_id"]
-                        if not _is_int(cv):
-                            ctx.issue(f"{tpath}.category_id", f"expected an integer, got {cv!r}")
-                        else:
-                            category_id = cv
-                    score: float | None = None
-                    if tr_obj.get("score") is not None:
-                        sv = tr_obj["score"]
-                        if not _is_num(sv) or not math.isfinite(float(sv)):
-                            ctx.issue(f"{tpath}.score", f"expected a finite number, got {sv!r}")
-                        else:
-                            score = float(sv)
-                    if "observations" not in tr_obj:
-                        ctx.issue(f"{tpath}.observations", "missing required field")
-                        continue
-                    obs_list = _get_list(tr_obj["observations"], f"{tpath}.observations", ctx)
-                    if obs_list is None or track_id is None:
-                        continue
-                    if len(obs_list) == 0:
-                        ctx.issue(f"{tpath}.observations", "a track needs at least one observation")
-                    observations: list[TrackObservation] = []
-                    prev_frame: int | None = None
-                    for oi, ob_v in enumerate(obs_list):
-                        opath = f"{tpath}.observations[{oi}]"
-                        ob_obj = _get_obj(ob_v, opath, ctx)
-                        if ob_obj is None:
-                            continue
-                        ctx.check_keys(ob_obj, opath, _OBS_KEYS)
-                        frame = _get_int(ob_obj, "frame", opath, ctx, minimum=0)
-                        if "box" not in ob_obj:
-                            ctx.issue(f"{opath}.box", "missing required field")
-                        box = _parse_box(ob_obj.get("box"), f"{opath}.box", ctx)
-                        mask = None
-                        if ob_obj.get("mask") is not None:
-                            mask = _parse_mask(ob_obj["mask"], f"{opath}.mask", ctx, seq_size)
-                        if frame is None or box is None:
-                            continue
-                        if frame >= meta.num_frames:
-                            ctx.issue(
-                                f"{opath}.frame",
-                                f"frame {frame} out of range for {meta.num_frames} frames",
-                            )
-                        if prev_frame is not None and frame <= prev_frame:
-                            ctx.issue(
-                                f"{opath}.frame",
-                                "observation frames must be strictly ascending "
-                                "(one observation per frame)",
-                            )
-                        prev_frame = frame
-                        if not all(math.isfinite(v) for v in box.as_tuple()):
-                            ctx.issue(f"{opath}.box", "box coordinates must be finite")
-                        elif box.w < 0 or box.h < 0:
-                            ctx.issue(f"{opath}.box", "box width/height must be >= 0")
-                        observations.append(TrackObservation(frame=frame, box=box, mask=mask))
-                    tracks.append(
-                        TrackRecord(
-                            track_id=track_id,
-                            observations=observations,
-                            category_id=category_id,
-                            score=score,
-                        )
+                if frame >= meta.num_frames:
+                    ctx.issue(
+                        f"{opath}.frame",
+                        f"frame {frame} out of range for {meta.num_frames} frames",
                     )
-                sequences.append(SequenceTracks(meta=meta, tracks=tracks))
-    warnings = ctx.finish()
-    return sequences, warnings
+                if prev_frame is not None and frame <= prev_frame:
+                    ctx.issue(
+                        f"{opath}.frame",
+                        "observation frames must be strictly ascending "
+                        "(one observation per frame)",
+                    )
+                prev_frame = frame
+                if not all(math.isfinite(v) for v in box.as_tuple()):
+                    ctx.issue(f"{opath}.box", "box coordinates must be finite")
+                elif box.w < 0 or box.h < 0:
+                    ctx.issue(f"{opath}.box", "box width/height must be >= 0")
+                observations.append(TrackObservation(frame=frame, box=box, mask=mask))
+            tracks.append(
+                TrackRecord(
+                    track_id=track_id,
+                    observations=observations,
+                    category_id=category_id,
+                    score=score,
+                )
+            )
+        sequences.append(SequenceTracks(meta=meta, tracks=tracks))
+    return sequences, ctx.finish()
 
 
 def tracks_to_jsonable(sequences: list[SequenceTracks]) -> dict:
@@ -592,24 +598,14 @@ def tracks_to_jsonable(sequences: list[SequenceTracks]) -> dict:
         for tr in seq.tracks:
             item: dict[str, Any] = {
                 "track_id": tr.track_id,
-                "observations": [
-                    _obs_to_jsonable(ob) for ob in tr.observations
-                ],
+                "observations": [_obs_to_jsonable(ob) for ob in tr.observations],
             }
             if tr.category_id is not None:
                 item["category_id"] = tr.category_id
             if tr.score is not None:
                 item["score"] = tr.score
             tracks.append(item)
-        out_seqs.append(
-            {
-                "name": seq.meta.name,
-                "height": seq.meta.height,
-                "width": seq.meta.width,
-                "num_frames": seq.meta.num_frames,
-                "tracks": tracks,
-            }
-        )
+        out_seqs.append(_seq_to_jsonable(seq.meta, "tracks", tracks))
     return {"sequences": out_seqs}
 
 
@@ -621,6 +617,101 @@ def _obs_to_jsonable(ob: TrackObservation) -> dict:
     if ob.mask is not None:
         item["mask"] = {"size": list(ob.mask.size), "counts": list(ob.mask.counts)}
     return item
+
+
+# ---------------------------------------------------------------------------
+# BURST annotation dumps
+
+
+def tracks_from_burst(obj: Any, source: str = "$") -> tuple[list[SequenceTracks], list[str]]:
+    """Convert a BURST annotation dump to tracks, skipping what cannot be used.
+
+    Returns (sequences, warnings): every sequence, frame, track key or mask
+    that cannot be converted is left out with a warning, and a sequence left
+    with no track is dropped.  Raises SchemaError only when ``obj`` is not an
+    object with a ``sequences`` array; ``source`` names it in that message.
+    """
+    if not isinstance(obj, dict) or not isinstance(obj.get("sequences"), list):
+        raise SchemaError([f"{source}: expected an object with a 'sequences' array"])
+    warnings: list[str] = []
+    sequences: list[SequenceTracks] = []
+    names: set[str] = set()
+    for si, seq in enumerate(obj["sequences"]):
+        where = f"sequences[{si}]"
+        if not isinstance(seq, dict):
+            warnings.append(f"{where}: not an object, skipped")
+            continue
+        name = seq.get("seq_name") or seq.get("name")
+        height, width = seq.get("height"), seq.get("width")
+        segmentations = seq.get("segmentations")
+        if not isinstance(name, str) or not name:
+            warnings.append(f"{where}: missing sequence name, skipped")
+            continue
+        where = f"{where} ({name})"
+        if name in names:
+            warnings.append(f"{where}: duplicate sequence name, skipped")
+            continue
+        if not (_is_int(height) and _is_int(width) and height >= 1 and width >= 1):
+            warnings.append(f"{where}: missing or invalid height/width, skipped")
+            continue
+        if not isinstance(segmentations, list) or not segmentations:
+            warnings.append(f"{where}: missing 'segmentations' frames, skipped")
+            continue
+        categories = seq.get("track_category_ids")
+        categories = categories if isinstance(categories, dict) else {}
+
+        per_track: dict[int, list[TrackObservation]] = {}
+        for frame, frame_obj in enumerate(segmentations):
+            if not isinstance(frame_obj, dict):
+                warnings.append(f"{where}: segmentations[{frame}] not an object, skipped")
+                continue
+            seen: set[int] = set()
+            for key, payload in frame_obj.items():
+                try:
+                    tid = int(key)
+                except ValueError:
+                    warnings.append(f"{where}: non-numeric track id {key!r}, skipped")
+                    continue
+                if tid < 1:
+                    warnings.append(f"{where}: track id {tid} < 1, skipped")
+                    continue
+                if tid in seen:
+                    warnings.append(
+                        f"{where}: track {tid} frame {frame}: key {key!r} repeats "
+                        "an earlier key's track id, skipped"
+                    )
+                    continue
+                seen.add(tid)
+                # A mask is {"counts", "size"}, optionally wrapped in {"rle": ...};
+                # a missing size means the sequence's.
+                inner = payload.get("rle", payload) if isinstance(payload, dict) else payload
+                if isinstance(inner, dict) and "size" not in inner:
+                    inner = dict(inner, size=[height, width])
+                mask = _parse_mask(inner, "", _Ctx(lax=True), (height, width))
+                if mask is None:
+                    warnings.append(
+                        f"{where}: track {tid} frame {frame}: unsupported "
+                        "mask encoding (integer run counts required), skipped"
+                    )
+                    continue
+                per_track.setdefault(tid, []).append(
+                    TrackObservation(frame=frame, box=mask_to_box(mask), mask=mask)
+                )
+
+        tracks = []
+        for tid in sorted(per_track):
+            cat = categories.get(str(tid))
+            if not _is_int(cat):
+                warnings.append(f"{where}: track {tid} has no category id; left unlabeled")
+                cat = None
+            tracks.append(TrackRecord(track_id=tid, observations=per_track[tid], category_id=cat))
+        if not tracks:
+            warnings.append(f"{where}: no usable tracks, sequence skipped")
+            continue
+        meta = SequenceMeta(name=name, height=height, width=width, num_frames=len(segmentations))
+        names.add(name)
+        sequences.append(SequenceTracks(meta=meta, tracks=tracks))
+    return sequences, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +785,10 @@ def save_detections(path: str, sequences: list[SequenceDetections]) -> None:
 
 def load_tracks(path: str, lax: bool = False) -> tuple[list[SequenceTracks], list[str]]:
     return tracks_from_jsonable(_read_json(path), lax=lax)
+
+
+def load_burst(path: str) -> tuple[list[SequenceTracks], list[str]]:
+    return tracks_from_burst(_read_json(path), source=path)
 
 
 def save_tracks(path: str, sequences: list[SequenceTracks]) -> None:

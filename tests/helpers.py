@@ -58,3 +58,23 @@ def two_split_bank(dim: int = 2) -> CategoryBank:
             CategoryEntry(category_id=2, name="cat_b", split="uncommon", prototype=protos[1]),
         ]
     )
+
+
+def burst_doc() -> dict:
+    """A BURST dump of one 4x4 clip: track 1 is a 2x2 square at the origin in
+    frames 0 and 1, track 2 sits at the opposite corner in frame 0.  Runs are
+    column-major and the first counts zeros; track 1's mask is wrapped in
+    ``rle`` and track 2's leaves its size to the sequence."""
+    sq1 = {"rle": {"counts": [0, 2, 2, 2, 10], "size": [4, 4]}}
+    sq2 = {"counts": [10, 2, 2, 2]}
+    return {
+        "sequences": [
+            {
+                "seq_name": "clip01",
+                "height": 4,
+                "width": 4,
+                "segmentations": [{"1": sq1, "2": sq2}, {"1": sq1}],
+                "track_category_ids": {"1": 3, "2": 7},
+            }
+        ]
+    }

@@ -8,6 +8,8 @@ from letrack.cli import main
 from letrack.io import load_tracks, save_bank, save_detections, save_tracks
 from letrack.synth import SynthConfig, generate
 
+from helpers import burst_doc
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -353,24 +355,6 @@ def test_multi_sequence_reports_match_pinned_digests(tmp_path, capsys):
 # import-burst
 
 
-def burst_doc():
-    # 4x4 frames; track 1 is a 2x2 square at the origin, track 2 sits at the
-    # opposite corner; column-major runs, first run counts zeros
-    sq1 = {"rle": {"counts": [0, 2, 2, 2, 10], "size": [4, 4]}}
-    sq2 = {"counts": [10, 2, 2, 2]}
-    return {
-        "sequences": [
-            {
-                "seq_name": "clip01",
-                "height": 4,
-                "width": 4,
-                "segmentations": [{"1": sq1, "2": sq2}, {"1": sq1}],
-                "track_category_ids": {"1": 3, "2": 7},
-            }
-        ]
-    }
-
-
 def test_import_burst_converts(tmp_path, capsys):
     src = tmp_path / "burst.json"
     src.write_text(json.dumps(burst_doc()))
@@ -439,3 +423,14 @@ def test_import_burst_rejects_non_burst_shapes(tmp_path, capsys):
     rc = main(["import-burst", "--input", str(src), "--out", str(tmp_path / "gt.json")])
     assert rc == 1
     assert "expected an object with a 'sequences' array" in capsys.readouterr().err
+
+
+def test_import_burst_output_loads_when_a_frame_repeats_a_track_id(tmp_path, capsys):
+    doc = burst_doc()
+    doc["sequences"][0]["segmentations"][0]["01"] = {"counts": [10, 2, 2, 2]}
+    src = tmp_path / "burst.json"
+    src.write_text(json.dumps(doc))
+    out = str(tmp_path / "gt.json")
+    assert main(["import-burst", "--input", str(src), "--out", out]) == 0
+    assert "key '01' repeats" in capsys.readouterr().err
+    assert main(["validate", "--kind", "tracks", "--file", out]) == 0
