@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -107,19 +108,68 @@ def _check_box(box: BBox, where: str, issues: list[str]) -> None:
         issues.append(f"{where}: box width/height must be >= 0, got w={box.w} h={box.h}")
 
 
+_NUMERIC_KINDS = frozenset("biuf")
+
+
+def _numeric(values: list) -> np.ndarray | None:
+    arr = np.asarray(values)
+    return arr if arr.dtype.kind in _NUMERIC_KINDS else None
+
+
+def _embeddings_ok(embs: list) -> bool:
+    """True when every embedding is finite, 1-D, non-empty and one size."""
+    shapes = set(map(attrgetter("shape"), embs))
+    if len(shapes) != 1 or len(shape := shapes.pop()) != 1 or shape[0] == 0:
+        return False
+    flat = _numeric(np.concatenate(embs))
+    return flat is not None and bool(np.isfinite(flat).all())
+
+
+def _screen(meta: SequenceMeta, detections: Sequence[Detection]) -> bool:
+    """True when no detection can have a violation, checked in whole-sequence
+    array passes.  False only means the per-detection walk must decide."""
+    if not detections:
+        return True
+    frames = _numeric(list(map(attrgetter("frame_index"), detections)))
+    objectness = _numeric(list(map(attrgetter("objectness"), detections)))
+    # One list per coordinate: a 4-tuple per detection would leave the
+    # allocator's arenas fragmented and raise the process's peak RSS.
+    boxes = _numeric([list(map(attrgetter(f"box.{c}"), detections)) for c in "xywh"])
+    if frames is None or objectness is None or boxes is None:
+        return False
+    if not (
+        ((0 <= frames) & (frames < meta.num_frames)).all()
+        and ((0.0 <= objectness) & (objectness <= 1.0)).all()
+        and np.isfinite(boxes).all()
+        and (boxes[2:] >= 0).all()
+    ):
+        return False
+    if not (
+        _embeddings_ok(list(map(attrgetter("app_emb"), detections)))
+        and _embeddings_ok(list(map(attrgetter("cls_emb"), detections)))
+    ):
+        return False
+    masks = [d.mask for d in detections if d.mask is not None]
+    return set(map(tuple, map(attrgetter("size"), masks))) <= {(meta.height, meta.width)}
+
+
 def validate_sequence(meta: SequenceMeta, detections: Sequence[Detection]) -> list[str]:
     """Check every detection of a sequence against the type invariants.
 
     Returns the complete list of violation messages; an empty list means the
     sequence is valid.  Embedding dimensions are data-driven: the first
     detection fixes the appearance and class dimensions and every later
-    detection must agree.
+    detection must agree.  A sequence that passes the whole-sequence screen
+    has no violation; only one that fails it is walked detection by
+    detection, which writes every message.
     """
     issues: list[str] = []
     if meta.height < 1 or meta.width < 1:
         issues.append(f"meta: frame size must be >= 1x1, got {meta.height}x{meta.width}")
     if meta.num_frames < 1:
         issues.append(f"meta: num_frames must be >= 1, got {meta.num_frames}")
+    if _screen(meta, detections):
+        return issues
 
     app_dim: int | None = None
     cls_dim: int | None = None

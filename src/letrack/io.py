@@ -22,12 +22,15 @@ collected as warnings instead.
       "track_category_ids": {"1": 3}
     }]}
 
-``segmentations`` holds one object per frame, keyed by track id.  A mask is
-COCO RLE with integer run counts, bare or wrapped in ``rle``; a missing
-``size`` means the sequence's.  ``name`` may stand for ``seq_name``.  It is
-lenient where the loaders are strict: whatever cannot be converted (COCO's
-compressed string counts, a bad size, a second key for one track id in a
-frame, a repeated sequence name) is skipped with a warning.
+``segmentations`` holds one object per frame, keyed by track id, a string
+of ASCII digits.  A mask is COCO RLE, bare or wrapped in ``rle``; its
+counts are integer runs or COCO's compressed string, and BURST's own files
+give that string alone as ``"rle": "..."``.  A missing ``size`` means the
+sequence's.  ``name`` may stand for ``seq_name``.  It is lenient where the
+loaders are strict: whatever cannot be converted (a track key that is not
+all digits, a string that does not decode, runs that do not fit the size, a
+second key for one track id in a frame, a repeated sequence name) is
+skipped with a warning.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ import math
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator, Optional
 
 import numpy as np
 
 from .classification import SPLITS, CategoryBank, CategoryEntry
 from .core import BBox, Detection, SequenceMeta, validate_sequence
-from .maskops import RleMask, mask_to_box, validate_rle
+from .maskops import RleMask, mask_to_box, rle_counts_from_string, validate_rle
 
 __all__ = [
     "ConfigError",
@@ -88,6 +92,16 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # canonical JSON
 
+# Whole-list type screens: ``set(map(type, v))`` takes a list's element
+# types in one C-level pass, and comparing it with these sets excludes bool
+# and every other subclass.  The writer joins an all-int or all-float list
+# at once; a loader gives a list that fails the screen the per-element
+# ``_is_num`` / ``_is_int`` check, which accepts subclasses such as numpy
+# scalars and is the one place that decides.
+_INT = frozenset({int})
+_FLOAT = frozenset({float})
+_NUM = frozenset({int, float})
+
 
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -103,6 +117,18 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def _dump(obj: Any, out: list[str]) -> None:
+    # Whole-list fast paths first; bools, numpy scalars, tuples and nested
+    # containers take the recursive path.  A float list is formatted in one
+    # %-operation when its sum is finite; otherwise _format_float, per
+    # element, names the non-finite value (or renders an overflowing sum).
+    if type(obj) is list:
+        kinds = set(map(type, obj))
+        if kinds == _INT:
+            out.append(f"[{','.join(map(str, obj))}]")
+            return
+        if kinds == _FLOAT and math.isfinite(sum(obj)):
+            out.append(f"[{','.join(['%.9g'] * len(obj)) % tuple(obj)}]")
+            return
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -112,7 +138,7 @@ def _dump(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -120,7 +146,7 @@ def _dump(obj: Any, out: list[str]) -> None:
                 raise ValueError(f"object keys must be strings, got {key!r}")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _dump(obj[key], out)
         out.append("}")
@@ -233,8 +259,10 @@ class _Ctx:
     def issue(self, path: str, msg: str) -> None:
         self.issues.append(f"{path}: {msg}")
 
-    def check_keys(self, obj: dict, path: str, known: tuple[str, ...]) -> None:
-        for key in sorted(set(obj) - set(known)):
+    def check_keys(self, obj: dict, path: str, known: frozenset[str]) -> None:
+        if obj.keys() <= known:
+            return
+        for key in sorted(obj.keys() - known):
             msg = f"{path}.{key}: unknown field"
             if self.lax:
                 self.warnings.append(msg)
@@ -253,6 +281,14 @@ def _is_num(v: Any) -> bool:
 
 def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _all_num(v: list) -> bool:
+    return set(map(type, v)) <= _NUM or all(map(_is_num, v))
+
+
+def _all_int(v: list) -> bool:
+    return set(map(type, v)) <= _INT or all(map(_is_int, v))
 
 
 def _get_obj(v: Any, path: str, ctx: _Ctx) -> dict | None:
@@ -295,20 +331,20 @@ def _get_str(obj: dict, key: str, path: str, ctx: _Ctx) -> str | None:
 
 
 def _parse_box(v: Any, path: str, ctx: _Ctx) -> BBox | None:
-    if not (isinstance(v, list) and len(v) == 4 and all(_is_num(x) for x in v)):
+    if not (isinstance(v, list) and len(v) == 4 and _all_num(v)):
         ctx.issue(path, "expected 4 numbers")
         return None
-    return BBox(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
+    return BBox(*map(float, v))
 
 
 def _parse_vector(v: Any, path: str, ctx: _Ctx) -> np.ndarray | None:
-    if not (isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v)):
+    if not (isinstance(v, list) and len(v) > 0 and _all_num(v)):
         ctx.issue(path, "expected a non-empty array of numbers")
         return None
     return np.asarray(v, dtype=np.float64)
 
 
-_MASK_KEYS = ("counts", "size")
+_MASK_KEYS = frozenset({"counts", "size"})
 
 
 def _parse_mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int]) -> RleMask | None:
@@ -320,10 +356,10 @@ def _parse_mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int]) -> RleM
     ctx.check_keys(obj, path, _MASK_KEYS)
     size_v = obj.get("size")
     counts_v = obj.get("counts")
-    if not (isinstance(size_v, list) and len(size_v) == 2 and all(_is_int(x) for x in size_v)):
+    if not (isinstance(size_v, list) and len(size_v) == 2 and _all_int(size_v)):
         ctx.issue(f"{path}.size", "expected [height, width] integers")
         return None
-    if not (isinstance(counts_v, list) and all(_is_int(x) for x in counts_v)):
+    if not (isinstance(counts_v, list) and _all_int(counts_v)):
         ctx.issue(f"{path}.counts", "expected an array of integers")
         return None
     mask = RleMask(size=(size_v[0], size_v[1]), counts=tuple(counts_v))
@@ -357,14 +393,14 @@ def _sequences(obj: Any, ctx: _Ctx, body_key: str) -> Iterator[tuple[str, Sequen
     root = _get_obj(obj, "$", ctx)
     if root is None:
         return
-    ctx.check_keys(root, "$", ("sequences",))
+    ctx.check_keys(root, "$", frozenset({"sequences"}))
     if "sequences" not in root:
         ctx.issue("sequences", "missing required field")
         return
     seq_list = _get_list(root["sequences"], "sequences", ctx)
     if seq_list is None:
         return
-    known = ("name", "height", "width", "num_frames", body_key)
+    known = frozenset({"name", "height", "width", "num_frames", body_key})
     names: set[str] = set()
     for si, seq_v in enumerate(seq_list):
         path = f"sequences[{si}]"
@@ -398,18 +434,27 @@ def _seq_to_jsonable(meta: SequenceMeta, body_key: str, body: list) -> dict:
 # ---------------------------------------------------------------------------
 # detections file
 
-_DET_KEYS = ("box", "score", "mask", "app_emb", "cls_emb")
-_FRAME_KEYS = ("index", "detections")
+_DET_KEYS = frozenset({"box", "score", "mask", "app_emb", "cls_emb"})
+_FRAME_KEYS = frozenset({"index", "detections"})
 
 
 def detections_from_jsonable(
     obj: Any, lax: bool = False
 ) -> tuple[list[SequenceDetections], list[str]]:
-    """Parse and fully validate a detections document.
+    """Parse and fully validate a detections document; ``obj`` is not changed.
 
     Returns (sequences, warnings); raises SchemaError with every issue when
     anything is invalid.
     """
+    return _detections(obj, lax, release=False)
+
+
+def _detections(
+    obj: Any, lax: bool, release: bool
+) -> tuple[list[SequenceDetections], list[str]]:
+    """``detections_from_jsonable``; with ``release``, each frame of ``obj`` is
+    replaced by None once it is parsed, so a document owned by the caller
+    (``load_detections``) is freed while its detections are built."""
     ctx = _Ctx(lax=lax)
     sequences: list[SequenceDetections] = []
     for spath, meta, frames_list in _sequences(obj, ctx, "frames"):
@@ -417,6 +462,8 @@ def detections_from_jsonable(
         frames: list[FrameDetections] = []
         prev_index: int | None = None
         for fi, fr_v in enumerate(frames_list):
+            if release:
+                frames_list[fi] = None
             fpath = f"{spath}.frames[{fi}]"
             fr_obj = _get_obj(fr_v, fpath, ctx)
             if fr_obj is None:
@@ -476,6 +523,11 @@ def detections_from_jsonable(
     return sequences, ctx.finish()
 
 
+def _floats(v: np.ndarray) -> list[float]:
+    """A 1-D vector as a list of Python floats, which ``_dump`` joins at once."""
+    return np.asarray(v, dtype=np.float64).tolist()
+
+
 def detections_to_jsonable(sequences: list[SequenceDetections]) -> dict:
     out_seqs = []
     for seq in sequences:
@@ -486,8 +538,8 @@ def detections_to_jsonable(sequences: list[SequenceDetections]) -> dict:
                 item: dict[str, Any] = {
                     "box": [d.box.x, d.box.y, d.box.w, d.box.h],
                     "score": d.objectness,
-                    "app_emb": [float(x) for x in d.app_emb],
-                    "cls_emb": [float(x) for x in d.cls_emb],
+                    "app_emb": _floats(d.app_emb),
+                    "cls_emb": _floats(d.cls_emb),
                 }
                 if d.mask is not None:
                     item["mask"] = {"size": list(d.mask.size), "counts": list(d.mask.counts)}
@@ -500,8 +552,8 @@ def detections_to_jsonable(sequences: list[SequenceDetections]) -> dict:
 # ---------------------------------------------------------------------------
 # tracks file
 
-_OBS_KEYS = ("frame", "box", "mask")
-_TRACK_KEYS = ("track_id", "category_id", "score", "observations")
+_OBS_KEYS = frozenset({"frame", "box", "mask"})
+_TRACK_KEYS = frozenset({"track_id", "category_id", "score", "observations"})
 
 
 def tracks_from_jsonable(obj: Any, lax: bool = False) -> tuple[list[SequenceTracks], list[str]]:
@@ -574,10 +626,12 @@ def tracks_from_jsonable(obj: Any, lax: bool = False) -> tuple[list[SequenceTrac
                         "(one observation per frame)",
                     )
                 prev_frame = frame
-                if not all(math.isfinite(v) for v in box.as_tuple()):
-                    ctx.issue(f"{opath}.box", "box coordinates must be finite")
-                elif box.w < 0 or box.h < 0:
-                    ctx.issue(f"{opath}.box", "box width/height must be >= 0")
+                # A finite sum screens all four coordinates at once.
+                if not (math.isfinite(sum(box.as_tuple())) and min(box.w, box.h) >= 0):
+                    if not all(math.isfinite(v) for v in box.as_tuple()):
+                        ctx.issue(f"{opath}.box", "box coordinates must be finite")
+                    elif box.w < 0 or box.h < 0:
+                        ctx.issue(f"{opath}.box", "box width/height must be >= 0")
                 observations.append(TrackObservation(frame=frame, box=box, mask=mask))
             tracks.append(
                 TrackRecord(
@@ -667,11 +721,10 @@ def tracks_from_burst(obj: Any, source: str = "$") -> tuple[list[SequenceTracks]
                 continue
             seen: set[int] = set()
             for key, payload in frame_obj.items():
-                try:
-                    tid = int(key)
-                except ValueError:
+                if not (isinstance(key, str) and key.isascii() and key.isdigit()):
                     warnings.append(f"{where}: non-numeric track id {key!r}, skipped")
                     continue
+                tid = int(key)
                 if tid < 1:
                     warnings.append(f"{where}: track id {tid} < 1, skipped")
                     continue
@@ -683,15 +736,21 @@ def tracks_from_burst(obj: Any, source: str = "$") -> tuple[list[SequenceTracks]
                     continue
                 seen.add(tid)
                 # A mask is {"counts", "size"}, optionally wrapped in {"rle": ...};
-                # a missing size means the sequence's.
+                # a missing size means the sequence's.  Counts may be COCO's
+                # compressed string, which may also stand alone as "rle".
                 inner = payload.get("rle", payload) if isinstance(payload, dict) else payload
-                if isinstance(inner, dict) and "size" not in inner:
-                    inner = dict(inner, size=[height, width])
+                if isinstance(inner, str):
+                    inner = {"counts": inner}
+                if isinstance(inner, dict):
+                    inner = {"size": [height, width], **inner}
+                    if isinstance(inner.get("counts"), str):
+                        with suppress(ValueError):
+                            inner["counts"] = rle_counts_from_string(inner["counts"])
                 mask = _parse_mask(inner, "", _Ctx(lax=True), (height, width))
                 if mask is None:
                     warnings.append(
-                        f"{where}: track {tid} frame {frame}: unsupported "
-                        "mask encoding (integer run counts required), skipped"
+                        f"{where}: track {tid} frame {frame}: mask is not "
+                        "valid COCO RLE for the frame size, skipped"
                     )
                     continue
                 per_track.setdefault(tid, []).append(
@@ -717,7 +776,7 @@ def tracks_from_burst(obj: Any, source: str = "$") -> tuple[list[SequenceTracks]
 # ---------------------------------------------------------------------------
 # category bank file
 
-_BANK_ENTRY_KEYS = ("id", "name", "split", "prototype")
+_BANK_ENTRY_KEYS = frozenset({"id", "name", "split", "prototype"})
 
 
 def bank_from_jsonable(obj: Any, lax: bool = False) -> tuple[CategoryBank, list[str]]:
@@ -725,7 +784,7 @@ def bank_from_jsonable(obj: Any, lax: bool = False) -> tuple[CategoryBank, list[
     root = _get_obj(obj, "$", ctx)
     entries: list[CategoryEntry] = []
     if root is not None:
-        ctx.check_keys(root, "$", ("categories",))
+        ctx.check_keys(root, "$", frozenset({"categories"}))
         if "categories" not in root:
             ctx.issue("categories", "missing required field")
         cat_list = _get_list(root.get("categories"), "categories", ctx) if "categories" in root else None
@@ -766,7 +825,7 @@ def bank_to_jsonable(bank: CategoryBank) -> dict:
         e = bank.get(cid)
         item: dict[str, Any] = {"id": e.category_id, "name": e.name, "split": e.split}
         if e.prototype is not None:
-            item["prototype"] = [float(x) for x in e.prototype]
+            item["prototype"] = _floats(e.prototype)
         cats.append(item)
     return {"categories": cats}
 
@@ -776,7 +835,7 @@ def bank_to_jsonable(bank: CategoryBank) -> dict:
 
 
 def load_detections(path: str, lax: bool = False) -> tuple[list[SequenceDetections], list[str]]:
-    return detections_from_jsonable(_read_json(path), lax=lax)
+    return _detections(_read_json(path), lax, release=True)
 
 
 def save_detections(path: str, sequences: list[SequenceDetections]) -> None:

@@ -6,8 +6,9 @@ holds alternating run lengths starting with a run of ZEROS.  A mask whose
 first pixel is set therefore starts with ``counts[0] == 0``; a zero-length
 run is legal only at index 0.  ``sum(counts) == height * width`` always.
 
-Only the plain integer-array form is handled here.  The COCO compressed
-string encoding is a different artifact and is not part of this package.
+Masks are held as plain integer runs.  COCO's compressed string form of
+the same runs (as stored in BURST annotation files) is read by
+``rle_counts_from_string``; nothing here writes it.
 
 IoU is computed on bitmaps: each mask is decoded once and packed into
 64-bit words in column-major pixel order, and an intersection is the
@@ -32,6 +33,7 @@ __all__ = [
     "mask_iou",
     "mask_iou_matrix",
     "mask_to_box",
+    "rle_counts_from_string",
     "rle_decode",
     "rle_encode",
     "validate_rle",
@@ -62,11 +64,14 @@ def validate_rle(mask: RleMask) -> list[str]:
     if total > 0 and len(counts) == 0:
         issues.append(f"counts is empty for a {h}x{w} mask")
         return issues
-    for i, c in enumerate(counts):
-        if c < 0:
-            issues.append(f"counts[{i}] is negative: {c}")
-        elif c == 0 and i != 0:
-            issues.append(f"counts[{i}] is a zero-length interior run")
+    # Walk the runs only when one is negative or an interior one is zero;
+    # ``not min >= 0`` also walks when a NaN count comes first.
+    if counts and (not min(counts) >= 0 or 0 in counts[1:]):
+        for i, c in enumerate(counts):
+            if c < 0:
+                issues.append(f"counts[{i}] is negative: {c}")
+            elif c == 0 and i != 0:
+                issues.append(f"counts[{i}] is a zero-length interior run")
     got = sum(counts)
     if got != total:
         issues.append(f"counts sum to {got} pixels, expected {total} for size ({h}, {w})")
@@ -107,6 +112,39 @@ def _decode_flat(mask: RleMask) -> np.ndarray:
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Decode runs back into a (height, width) boolean bitmap."""
     return _decode_flat(mask).reshape(mask.size, order="F")
+
+
+def rle_counts_from_string(s: str) -> list[int]:
+    """Run counts of a COCO compressed RLE string (cocoapi ``rleFrString``).
+
+    Each count is a little-endian series of 5-bit groups, one character
+    (``chr(48 + group)``) per group, with bit 0x20 set while more follow and
+    bit 0x10 of the last one the sign.  From the fourth count on, each is
+    stored as its difference from the count two places back.  Raises
+    ValueError on a character outside '0'..'o' or a truncated last count;
+    the counts are not checked against any size.
+    """
+    counts: list[int] = []
+    p, n = 0, len(s)
+    while p < n:
+        x = k = 0
+        more = True
+        while more:
+            if p == n:
+                raise ValueError("compressed RLE string ends inside a count")
+            c = ord(s[p]) - 48
+            if not 0 <= c < 64:
+                raise ValueError(f"compressed RLE string has invalid character {s[p]!r}")
+            x |= (c & 0x1F) << (5 * k)
+            more = bool(c & 0x20)
+            p += 1
+            k += 1
+            if not more and c & 0x10:
+                x |= -1 << (5 * k)
+        if len(counts) > 2:
+            x += counts[-2]
+        counts.append(x)
+    return counts
 
 
 def _pack(masks: list[RleMask], total: int) -> np.ndarray:

@@ -5,14 +5,38 @@ all matchings, exact Fraction arithmetic over the (dyadic) float inputs,
 and literal set-counting definitions instead of algebraic shortcuts.  If
 production and oracle agree on thousands of random instances, the clever
 code earns its keep.
+
+The JSON references at the end are the loaders, validators and canonical
+writer in their per-element form, before the whole-list screens: every
+value is type-checked, every run and every detection walked one at a time.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Any
 
-from letrack.maskops import box_iou
+import numpy as np
+
+from letrack.core import BBox, Detection, SequenceMeta
+from letrack.io import (
+    FrameDetections,
+    SchemaError,
+    SequenceDetections,
+    SequenceTracks,
+    TrackObservation,
+    TrackRecord,
+    _get_int,
+    _get_list,
+    _get_obj,
+    _is_int,
+    _is_num,
+    _sequences,
+)
+from letrack.maskops import RleMask, box_iou
 
 # ---------------------------------------------------------------------------
 # assignment
@@ -157,3 +181,374 @@ def hota_oracle(gt_tracks, pred_tracks, alpha: float) -> dict:
         "hota": math.sqrt(det_a * ass_a),
         "owta": math.sqrt(det_re * ass_a),
     }
+
+
+# ---------------------------------------------------------------------------
+# JSON documents: per-element loaders, validators and writer
+
+
+def dumps_canonical_reference(obj: Any) -> str:
+    """Canonical JSON, one recursive call per value."""
+    parts: list[str] = []
+    _dump_reference(obj, parts)
+    return "".join(parts)
+
+
+def _format_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return "%.9g" % (x,)
+
+
+def _dump_reference(obj: Any, out: list[str]) -> None:
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise ValueError(f"object keys must be strings, got {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(":")
+            _dump_reference(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _dump_reference(item, out)
+        out.append("]")
+    elif isinstance(obj, np.ndarray):
+        _dump_reference(obj.tolist(), out)
+    else:
+        raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+def validate_rle_reference(mask: RleMask) -> list[str]:
+    issues: list[str] = []
+    h, w = mask.size
+    if h < 0 or w < 0:
+        issues.append(f"size must be non-negative, got ({h}, {w})")
+        return issues
+    total = h * w
+    counts = mask.counts
+    if total > 0 and len(counts) == 0:
+        issues.append(f"counts is empty for a {h}x{w} mask")
+        return issues
+    for i, c in enumerate(counts):
+        if c < 0:
+            issues.append(f"counts[{i}] is negative: {c}")
+        elif c == 0 and i != 0:
+            issues.append(f"counts[{i}] is a zero-length interior run")
+    got = sum(counts)
+    if got != total:
+        issues.append(f"counts sum to {got} pixels, expected {total} for size ({h}, {w})")
+    return issues
+
+
+def _check_box(box: BBox, where: str, issues: list[str]) -> None:
+    vals = (box.x, box.y, box.w, box.h)
+    if not all(np.isfinite(v) for v in vals):
+        issues.append(f"{where}: box coordinates must be finite, got {vals}")
+        return
+    if box.w < 0 or box.h < 0:
+        issues.append(f"{where}: box width/height must be >= 0, got w={box.w} h={box.h}")
+
+
+def validate_sequence_reference(meta: SequenceMeta, detections: list[Detection]) -> list[str]:
+    issues: list[str] = []
+    if meta.height < 1 or meta.width < 1:
+        issues.append(f"meta: frame size must be >= 1x1, got {meta.height}x{meta.width}")
+    if meta.num_frames < 1:
+        issues.append(f"meta: num_frames must be >= 1, got {meta.num_frames}")
+
+    app_dim: int | None = None
+    cls_dim: int | None = None
+    for i, det in enumerate(detections):
+        where = f"detections[{i}]"
+        if not (0 <= det.frame_index < meta.num_frames):
+            issues.append(
+                f"{where}: frame_index out of range, got {det.frame_index} "
+                f"for {meta.num_frames} frames"
+            )
+        if not (np.isfinite(det.objectness) and 0.0 <= det.objectness <= 1.0):
+            issues.append(f"{where}: objectness out of range [0, 1], got {det.objectness}")
+        _check_box(det.box, where, issues)
+
+        for name, emb in (("app_emb", det.app_emb), ("cls_emb", det.cls_emb)):
+            if emb.ndim != 1:
+                issues.append(f"{where}: {name} must be 1-D, got shape {emb.shape}")
+                continue
+            if emb.size == 0:
+                issues.append(f"{where}: {name} must be non-empty")
+                continue
+            if not np.all(np.isfinite(emb)):
+                issues.append(f"{where}: {name} has non-finite values")
+        if det.app_emb.ndim == 1 and det.app_emb.size > 0:
+            if app_dim is None:
+                app_dim = det.app_emb.size
+            elif det.app_emb.size != app_dim:
+                issues.append(
+                    f"{where}: app_emb embedding dimension mismatch, "
+                    f"got {det.app_emb.size}, expected {app_dim}"
+                )
+        if det.cls_emb.ndim == 1 and det.cls_emb.size > 0:
+            if cls_dim is None:
+                cls_dim = det.cls_emb.size
+            elif det.cls_emb.size != cls_dim:
+                issues.append(
+                    f"{where}: cls_emb embedding dimension mismatch, "
+                    f"got {det.cls_emb.size}, expected {cls_dim}"
+                )
+        if det.mask is not None and tuple(det.mask.size) != (meta.height, meta.width):
+            issues.append(
+                f"{where}: mask size {tuple(det.mask.size)} does not match "
+                f"sequence size ({meta.height}, {meta.width})"
+            )
+    return issues
+
+
+@dataclass
+class _Ctx:
+    lax: bool
+    issues: list[str] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
+
+    def issue(self, path: str, msg: str) -> None:
+        self.issues.append(f"{path}: {msg}")
+
+    def check_keys(self, obj: dict, path: str, known) -> None:
+        for key in sorted(set(obj) - set(known)):
+            msg = f"{path}.{key}: unknown field"
+            if self.lax:
+                self.warnings.append(msg)
+            else:
+                self.issues.append(msg)
+
+    def finish(self) -> list[str]:
+        if self.issues:
+            raise SchemaError(self.issues)
+        return self.warnings
+
+
+def _parse_box(v: Any, path: str, ctx: _Ctx) -> BBox | None:
+    if not (isinstance(v, list) and len(v) == 4 and all(_is_num(x) for x in v)):
+        ctx.issue(path, "expected 4 numbers")
+        return None
+    return BBox(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
+
+
+def _parse_vector(v: Any, path: str, ctx: _Ctx) -> np.ndarray | None:
+    if not (isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v)):
+        ctx.issue(path, "expected a non-empty array of numbers")
+        return None
+    return np.asarray(v, dtype=np.float64)
+
+
+def _parse_mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int]) -> RleMask | None:
+    n_issues = len(ctx.issues)
+    obj = _get_obj(v, path, ctx)
+    if obj is None:
+        return None
+    ctx.check_keys(obj, path, ("counts", "size"))
+    size_v = obj.get("size")
+    counts_v = obj.get("counts")
+    if not (isinstance(size_v, list) and len(size_v) == 2 and all(_is_int(x) for x in size_v)):
+        ctx.issue(f"{path}.size", "expected [height, width] integers")
+        return None
+    if not (isinstance(counts_v, list) and all(_is_int(x) for x in counts_v)):
+        ctx.issue(f"{path}.counts", "expected an array of integers")
+        return None
+    mask = RleMask(size=(size_v[0], size_v[1]), counts=tuple(counts_v))
+    for msg in validate_rle_reference(mask):
+        ctx.issue(path, msg)
+    if tuple(mask.size) != seq_size:
+        ctx.issue(
+            f"{path}.size",
+            f"mask size {tuple(mask.size)} does not match sequence size {seq_size}",
+        )
+    return mask if len(ctx.issues) == n_issues else None
+
+
+def detections_from_jsonable_reference(
+    obj: Any, lax: bool = False
+) -> tuple[list[SequenceDetections], list[str]]:
+    ctx = _Ctx(lax=lax)
+    sequences: list[SequenceDetections] = []
+    for spath, meta, frames_list in _sequences(obj, ctx, "frames"):
+        seq_size = (meta.height, meta.width)
+        frames: list[FrameDetections] = []
+        prev_index: int | None = None
+        for fi, fr_v in enumerate(frames_list):
+            fpath = f"{spath}.frames[{fi}]"
+            fr_obj = _get_obj(fr_v, fpath, ctx)
+            if fr_obj is None:
+                continue
+            ctx.check_keys(fr_obj, fpath, ("index", "detections"))
+            index = _get_int(fr_obj, "index", fpath, ctx, minimum=0)
+            dets_list = _get_list(fr_obj.get("detections"), f"{fpath}.detections", ctx)
+            if "detections" not in fr_obj:
+                ctx.issue(f"{fpath}.detections", "missing required field")
+            if index is None or dets_list is None:
+                continue
+            if index >= meta.num_frames:
+                ctx.issue(
+                    f"{fpath}.index",
+                    f"frame index {index} out of range for {meta.num_frames} frames",
+                )
+            if prev_index is not None and index <= prev_index:
+                ctx.issue(f"{fpath}.index", "frame indices must be strictly ascending")
+            prev_index = index
+            dets: list[Detection] = []
+            for di, det_v in enumerate(dets_list):
+                dpath = f"{fpath}.detections[{di}]"
+                det_obj = _get_obj(det_v, dpath, ctx)
+                if det_obj is None:
+                    continue
+                ctx.check_keys(det_obj, dpath, ("box", "score", "mask", "app_emb", "cls_emb"))
+                for req in ("box", "score", "app_emb", "cls_emb"):
+                    if req not in det_obj:
+                        ctx.issue(f"{dpath}.{req}", "missing required field")
+                box = _parse_box(det_obj.get("box"), f"{dpath}.box", ctx)
+                score_v = det_obj.get("score")
+                if score_v is not None and not _is_num(score_v):
+                    ctx.issue(f"{dpath}.score", f"expected a number, got {score_v!r}")
+                    score_v = None
+                app = _parse_vector(det_obj.get("app_emb"), f"{dpath}.app_emb", ctx)
+                cls = _parse_vector(det_obj.get("cls_emb"), f"{dpath}.cls_emb", ctx)
+                mask = None
+                if det_obj.get("mask") is not None:
+                    mask = _parse_mask(det_obj["mask"], f"{dpath}.mask", ctx, seq_size)
+                if box is None or score_v is None or app is None or cls is None:
+                    continue
+                dets.append(
+                    Detection(
+                        frame_index=index,
+                        box=box,
+                        objectness=float(score_v),
+                        app_emb=app,
+                        cls_emb=cls,
+                        mask=mask,
+                    )
+                )
+            frames.append(FrameDetections(index=index, detections=dets))
+        seq = SequenceDetections(meta=meta, frames=frames)
+        for msg in validate_sequence_reference(meta, seq.all_detections()):
+            ctx.issue(spath, msg)
+        sequences.append(seq)
+    return sequences, ctx.finish()
+
+
+def tracks_from_jsonable_reference(
+    obj: Any, lax: bool = False
+) -> tuple[list[SequenceTracks], list[str]]:
+    ctx = _Ctx(lax=lax)
+    sequences: list[SequenceTracks] = []
+    for spath, meta, tracks_list in _sequences(obj, ctx, "tracks"):
+        seq_size = (meta.height, meta.width)
+        tracks: list[TrackRecord] = []
+        seen_ids: set[int] = set()
+        for ti, tr_v in enumerate(tracks_list):
+            tpath = f"{spath}.tracks[{ti}]"
+            tr_obj = _get_obj(tr_v, tpath, ctx)
+            if tr_obj is None:
+                continue
+            ctx.check_keys(tr_obj, tpath, ("track_id", "category_id", "score", "observations"))
+            track_id = _get_int(tr_obj, "track_id", tpath, ctx, minimum=1)
+            if track_id is not None:
+                if track_id in seen_ids:
+                    ctx.issue(f"{tpath}.track_id", f"duplicate track id {track_id}")
+                seen_ids.add(track_id)
+            category_id: int | None = None
+            if tr_obj.get("category_id") is not None:
+                cv = tr_obj["category_id"]
+                if not _is_int(cv):
+                    ctx.issue(f"{tpath}.category_id", f"expected an integer, got {cv!r}")
+                else:
+                    category_id = cv
+            score: float | None = None
+            if tr_obj.get("score") is not None:
+                sv = tr_obj["score"]
+                if not _is_num(sv) or not math.isfinite(float(sv)):
+                    ctx.issue(f"{tpath}.score", f"expected a finite number, got {sv!r}")
+                else:
+                    score = float(sv)
+            if "observations" not in tr_obj:
+                ctx.issue(f"{tpath}.observations", "missing required field")
+                continue
+            obs_list = _get_list(tr_obj["observations"], f"{tpath}.observations", ctx)
+            if obs_list is None or track_id is None:
+                continue
+            if len(obs_list) == 0:
+                ctx.issue(f"{tpath}.observations", "a track needs at least one observation")
+            observations: list[TrackObservation] = []
+            prev_frame: int | None = None
+            for oi, ob_v in enumerate(obs_list):
+                opath = f"{tpath}.observations[{oi}]"
+                ob_obj = _get_obj(ob_v, opath, ctx)
+                if ob_obj is None:
+                    continue
+                ctx.check_keys(ob_obj, opath, ("frame", "box", "mask"))
+                frame = _get_int(ob_obj, "frame", opath, ctx, minimum=0)
+                if "box" not in ob_obj:
+                    ctx.issue(f"{opath}.box", "missing required field")
+                box = _parse_box(ob_obj.get("box"), f"{opath}.box", ctx)
+                mask = None
+                if ob_obj.get("mask") is not None:
+                    mask = _parse_mask(ob_obj["mask"], f"{opath}.mask", ctx, seq_size)
+                if frame is None or box is None:
+                    continue
+                if frame >= meta.num_frames:
+                    ctx.issue(
+                        f"{opath}.frame",
+                        f"frame {frame} out of range for {meta.num_frames} frames",
+                    )
+                if prev_frame is not None and frame <= prev_frame:
+                    ctx.issue(
+                        f"{opath}.frame",
+                        "observation frames must be strictly ascending "
+                        "(one observation per frame)",
+                    )
+                prev_frame = frame
+                if not all(math.isfinite(v) for v in box.as_tuple()):
+                    ctx.issue(f"{opath}.box", "box coordinates must be finite")
+                elif box.w < 0 or box.h < 0:
+                    ctx.issue(f"{opath}.box", "box width/height must be >= 0")
+                observations.append(TrackObservation(frame=frame, box=box, mask=mask))
+            tracks.append(
+                TrackRecord(
+                    track_id=track_id,
+                    observations=observations,
+                    category_id=category_id,
+                    score=score,
+                )
+            )
+        sequences.append(SequenceTracks(meta=meta, tracks=tracks))
+    return sequences, ctx.finish()
+
+
+def rle_to_string(counts) -> str:
+    """COCO compressed RLE string of integer runs (cocoapi ``rleToString``)."""
+    out = []
+    for i, cnt in enumerate(counts):
+        x = cnt - counts[i - 2] if i > 2 else cnt
+        more = True
+        while more:
+            c = x & 0x1F
+            x >>= 5
+            more = x != -1 if c & 0x10 else x != 0
+            if more:
+                c |= 0x20
+            out.append(chr(c + 48))
+    return "".join(out)

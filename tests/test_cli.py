@@ -381,17 +381,20 @@ def test_import_burst_converts(tmp_path, capsys):
     assert by_id[2].observations[0].box.as_tuple() == (2.0, 2.0, 2.0, 2.0)
 
 
-def test_import_burst_skips_compressed_masks(tmp_path, capsys):
+def test_import_burst_decodes_compressed_masks(tmp_path, capsys):
     doc = burst_doc()
-    doc["sequences"][0]["segmentations"][0]["2"] = {"rle": {"counts": "kYW2", "size": [4, 4]}}
+    frame0 = doc["sequences"][0]["segmentations"][0]
+    frame0["2"] = {"rle": ":220", "is_gt": True}  # [10, 2, 2, 2], compressed
+    frame0["3"] = {"rle": {"counts": "kYW2", "size": [4, 4]}}  # one run of 73019
     src = tmp_path / "burst.json"
     src.write_text(json.dumps(doc))
     rc = main(["import-burst", "--input", str(src), "--out", str(tmp_path / "gt.json")])
     captured = capsys.readouterr()
     assert rc == 0
-    assert "unsupported mask encoding" in captured.err
+    assert "track 3 frame 0: mask is not valid COCO RLE for the frame size, skipped" in captured.err
     seqs, _ = load_tracks(str(tmp_path / "gt.json"))
-    assert {t.track_id for t in seqs[0].tracks} == {1}
+    assert {t.track_id for t in seqs[0].tracks} == {1, 2}
+    assert seqs[0].tracks[1].observations[0].mask.counts == (10, 2, 2, 2)
 
 
 def test_import_burst_unlabeled_track_warns(tmp_path, capsys):

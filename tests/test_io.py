@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from letrack.core import BBox, Detection, SequenceMeta
+from letrack.core import BBox, Detection, SequenceMeta, validate_sequence
 from letrack.io import (
     ConfigError,
     FrameDetections,
@@ -18,6 +20,7 @@ from letrack.io import (
     TrackRecord,
     bank_to_jsonable,
     detections_from_jsonable,
+    detections_to_jsonable,
     dumps_canonical,
     load_bank,
     load_burst,
@@ -33,9 +36,18 @@ from letrack.io import (
     tracks_to_jsonable,
     write_json_files,
 )
-from letrack.maskops import RleMask
+from letrack.maskops import RleMask, validate_rle
+from letrack.synth import SynthConfig, generate
 
 from helpers import burst_doc, two_split_bank
+from oracles import (
+    detections_from_jsonable_reference,
+    dumps_canonical_reference,
+    rle_to_string,
+    tracks_from_jsonable_reference,
+    validate_rle_reference,
+    validate_sequence_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -665,18 +677,245 @@ def test_corrupted_document_issue_list(kind, corrupt, issues):
 
 
 # ---------------------------------------------------------------------------
+# whole-list screens against the per-element references
+
+
+def _synth_docs(seed: int) -> tuple[dict, dict]:
+    """Small valid detections and gt documents, as parsed from canonical text
+    (whole floats come back as ints)."""
+    res = generate(
+        SynthConfig(
+            seed=seed, num_frames=3, num_tracks=3, frame_height=8, frame_width=8,
+            app_emb_dim=3, cls_emb_dim=2, p_fp=0.3, p_drop=0.2, box_jitter_sigma=0.5,
+        )
+    )
+    return (
+        json.loads(dumps_canonical(detections_to_jsonable(res.detections))),
+        json.loads(dumps_canonical(tracks_to_jsonable(res.gt))),
+    )
+
+
+def _items(doc: dict) -> list[dict]:
+    """Every detection or observation object of a document."""
+    seq = doc["sequences"][0]
+    if "frames" in seq:
+        return [d for fr in seq["frames"] for d in fr["detections"]]
+    return [ob for tr in seq["tracks"] for ob in tr["observations"]]
+
+
+def _dicts(v) -> list[dict]:
+    """Every JSON object in a document, the root first."""
+    if isinstance(v, dict):
+        return [v, *(d for x in v.values() for d in _dicts(x))]
+    if isinstance(v, list):
+        return [d for x in v for d in _dicts(x)]
+    return []
+
+
+_BAD_ELEMENTS = [True, False, 1.5, -2, 0, float("inf"), float("nan"), "1", None]
+
+
+def _corrupt(doc: dict, data) -> None:
+    item = data.draw(st.sampled_from(_items(doc)))
+    kind = data.draw(
+        st.sampled_from(["counts", "box", "size", "runs", "emb", "dims", "key", "drop"])
+    )
+    mask = item.get("mask", {})
+    embs = [item[k] for k in ("app_emb", "cls_emb") if item.get(k)]
+    if kind in ("counts", "box", "size"):
+        target = item.get("box") if kind == "box" else mask.get(kind)
+        if target:
+            i = data.draw(st.integers(0, len(target) - 1))
+            target[i] = data.draw(st.sampled_from(_BAD_ELEMENTS))
+    elif kind == "runs" and mask.get("counts"):
+        counts = mask["counts"]
+        i = data.draw(st.integers(0, len(counts) - 1))
+        counts[i] = data.draw(st.sampled_from([0, -1, -7]))
+    elif kind == "emb" and embs:
+        emb = data.draw(st.sampled_from(embs))
+        i = data.draw(st.integers(0, len(emb) - 1))
+        emb[i] = data.draw(st.sampled_from([json.loads("1e999"), -math.inf, math.nan, "x"]))
+    elif kind == "dims" and embs:
+        emb = data.draw(st.sampled_from(embs))
+        if data.draw(st.booleans()):
+            emb.append(0.5)
+        else:
+            del emb[data.draw(st.integers(0, len(emb) - 1))]
+    elif kind == "key":
+        data.draw(st.sampled_from(_dicts(doc)))["extra"] = 1
+    elif kind == "drop" and item:
+        item.pop(data.draw(st.sampled_from(sorted(item))))
+
+
+def _outcome(loader, to_jsonable, doc, lax):
+    try:
+        seqs, warnings = loader(doc, lax=lax)
+    except SchemaError as exc:
+        return "issues", exc.issues
+    return "ok", warnings, dumps_canonical(to_jsonable(seqs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loaders_match_the_per_element_reference(data):
+    dets_doc, tracks_doc = _synth_docs(data.draw(st.integers(0, 30)))
+    tracks = data.draw(st.booleans())
+    doc = tracks_doc if tracks else dets_doc
+    for _ in range(data.draw(st.integers(1, 3))):
+        _corrupt(doc, data)
+    lax = data.draw(st.booleans())
+    if tracks:
+        loaders = (tracks_from_jsonable, tracks_from_jsonable_reference, tracks_to_jsonable)
+    else:
+        loaders = (detections_from_jsonable, detections_from_jsonable_reference, detections_to_jsonable)
+    fast, reference, to_jsonable = loaders
+    before = copy.deepcopy(doc)
+    got = _outcome(fast, to_jsonable, doc, lax)
+    assert doc == before  # not mutated (a NaN compares equal to itself by identity)
+    assert got == _outcome(reference, to_jsonable, doc, lax)
+
+
+def _emb(draw, dim):
+    shape = draw(st.sampled_from([(dim,), (dim,), (dim,), (0,), (dim + 1,), (1, dim)]))
+    arr = np.full(shape, 0.5)
+    if arr.size and draw(st.booleans()):
+        arr.flat[0] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 2.0]))
+    return arr
+
+
+_COORD = st.sampled_from([0.0, 1.0, 2.5, -1.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _detection(draw):
+    size = draw(st.sampled_from([(4, 4), (4, 4), (2, 4)]))
+    return Detection(
+        frame_index=draw(st.integers(-1, 3)),
+        box=BBox(*(draw(_COORD) for _ in range(4))),
+        objectness=draw(st.sampled_from([0.0, 0.5, 1.0, -0.1, 1.5, np.nan, True])),
+        app_emb=_emb(draw, 3),
+        cls_emb=_emb(draw, 2),
+        mask=draw(st.sampled_from([None, RleMask(size=size, counts=(size[0] * size[1],))])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dets=st.lists(_detection(), max_size=6),
+    num_frames=st.integers(0, 3),
+)
+def test_validate_sequence_matches_the_per_detection_reference(dets, num_frames):
+    meta = SequenceMeta(name="s", height=4, width=4, num_frames=num_frames)
+    assert validate_sequence(meta, dets) == validate_sequence_reference(meta, dets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+    counts=st.lists(st.integers(-3, 6), max_size=8),
+)
+def test_validate_rle_matches_the_per_run_reference(size, counts):
+    mask = RleMask(size=size, counts=tuple(counts))
+    assert validate_rle(mask) == validate_rle_reference(mask)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.integers(),
+    _FINITE,
+    st.booleans(),
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _FINITE.map(np.float64),
+    st.lists(st.integers(), max_size=6),
+    st.lists(_FINITE, max_size=6),
+    st.lists(st.floats(min_value=1e307, allow_infinity=False), max_size=3),  # sum overflows
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_TREES)
+def test_dumps_canonical_matches_the_recursive_reference(tree):
+    assert dumps_canonical(tree) == dumps_canonical_reference(tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree=_TREES,
+    floats=st.lists(_FINITE, max_size=4),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, np.float64(np.nan)]),
+    at=st.integers(0, 4),
+)
+def test_dumps_canonical_rejects_non_finite_like_the_reference(tree, floats, bad, at):
+    floats.insert(min(at, len(floats)), bad)
+    doc = [tree, floats]
+    with pytest.raises(ValueError) as got:
+        dumps_canonical(doc)
+    with pytest.raises(ValueError) as want:
+        dumps_canonical_reference(doc)
+    assert str(got.value) == str(want.value)
+
+
+def test_detections_from_jsonable_leaves_its_input_unchanged():
+    doc, _ = _synth_docs(1)
+    before = copy.deepcopy(doc)
+    detections_from_jsonable(doc)
+    assert doc == before
+
+
+# ---------------------------------------------------------------------------
 # BURST dumps
 
 CLIP = "sequences[0] (clip01)"
 
 
-def test_burst_compressed_string_mask_is_skipped():
+# Track 2's runs [10, 2, 2, 2] as COCO's compressed string.
+SQ2_STRING = rle_to_string([10, 2, 2, 2])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"rle": {"counts": SQ2_STRING, "size": [4, 4]}},
+        {"rle": SQ2_STRING, "is_gt": True},
+        {"counts": SQ2_STRING},
+    ],
+    ids=["wrapped", "bare-rle-string", "counts-only"],
+)
+def test_burst_compressed_string_mask_is_decoded(payload):
     doc = burst_doc()
-    doc["sequences"][0]["segmentations"][0]["2"] = {"rle": {"counts": "kYW2", "size": [4, 4]}}
+    doc["sequences"][0]["segmentations"][0]["2"] = payload
+    assert SQ2_STRING == ":220"
+    assert tracks_from_burst(doc) == tracks_from_burst(burst_doc())
+
+
+@pytest.mark.parametrize("counts", ["kYW2", "0a", "0~", ""], ids=["unfit", "truncated", "bad-char", "empty"])
+def test_burst_undecodable_string_mask_is_skipped(counts):
+    doc = burst_doc()
+    doc["sequences"][0]["segmentations"][0]["2"] = {"rle": {"counts": counts, "size": [4, 4]}}
     seqs, warnings = tracks_from_burst(doc)
     assert warnings == [
-        f"{CLIP}: track 2 frame 0: unsupported mask encoding (integer run counts required), skipped"
+        f"{CLIP}: track 2 frame 0: mask is not valid COCO RLE for the frame size, skipped"
     ]
+    assert [t.track_id for t in seqs[0].tracks] == [1]
+
+
+@pytest.mark.parametrize("key", ["1_0", " 1", "+1", "1 ", "-1", "\u0661", "", "0x1"])
+def test_burst_track_key_must_be_ascii_digits(key):
+    doc = burst_doc()
+    frame0 = doc["sequences"][0]["segmentations"][0]
+    frame0[key] = frame0.pop("2")
+    seqs, warnings = tracks_from_burst(doc)
+    assert warnings == [f"{CLIP}: non-numeric track id {key!r}, skipped"]
     assert [t.track_id for t in seqs[0].tracks] == [1]
 
 

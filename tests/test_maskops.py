@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letrack.core import BBox
 from letrack.maskops import (
@@ -11,10 +13,13 @@ from letrack.maskops import (
     mask_iou,
     mask_iou_matrix,
     mask_to_box,
+    rle_counts_from_string,
     rle_decode,
     rle_encode,
     validate_rle,
 )
+
+from oracles import rle_to_string
 
 
 def brute_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -241,3 +246,33 @@ def test_mask_to_box_rect_identity():
     g = np.zeros((8, 9), dtype=bool)
     g[2:5, 3:7] = True
     assert mask_to_box(rle_encode(g)) == BBox(3.0, 2.0, 4.0, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# COCO compressed strings
+
+
+def test_compressed_string_known_values():
+    assert rle_counts_from_string("02208") == [0, 2, 2, 2, 10]
+    assert rle_counts_from_string("") == []
+    assert rle_counts_from_string("M") == [-3]  # sign bit 0x10 of the last group
+
+
+@pytest.mark.parametrize("s", ["0a", "0~", "0/", "0é"])
+def test_compressed_string_malformed_raises(s):
+    with pytest.raises(ValueError):
+        rle_counts_from_string(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.lists(st.booleans(), min_size=1, max_size=9), min_size=1, max_size=9))
+def test_compressed_string_roundtrips_encoded_bitmaps(bits):
+    width = min(map(len, bits))
+    mask = rle_encode(np.array([row[:width] for row in bits]))
+    assert rle_counts_from_string(rle_to_string(mask.counts)) == list(mask.counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(-(2**40), 2**40), max_size=12))
+def test_compressed_string_roundtrips_any_integer_runs(counts):
+    assert rle_counts_from_string(rle_to_string(counts)) == counts
