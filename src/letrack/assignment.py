@@ -24,12 +24,18 @@ The feasibility graph falls apart into independent connected components,
 and a cell list may hold many independent problems at once (one per frame,
 say).  In tracking workloads the gating makes the graph extremely sparse,
 so most components are single cells: those are decided by one vectorised
-rule.  The rest are labelled by vectorised min-label propagation, and only
-then does each component go through the exact solve, which is O(n^3) only
-on the rare dense cluster.
+rule.  The rest are labelled by vectorised min-label propagation, and each
+component then goes through one exact solve: a rows x cols Hungarian
+method (shortest augmenting paths) that assigns every node of the shorter
+side, O(n^2 m) for n <= m.  Negative cells are dropped first, so every
+encoded weight left is positive and a zero in the cost matrix can stand for
+"unmatched": no dummy rows or columns are needed, and the assignment's real
+cells are the unique optimal matching.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -85,7 +91,8 @@ def assign_cells(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray) -> np.n
     one call may hold many independent problems (rows keyed by frame and gt
     track, say).  The result equals ``hungarian_max`` on the dense matrix
     whose rows and columns are the sorted distinct keys, with every other
-    cell infeasible.
+    cell infeasible.  Keys of any non-integer dtype (float, bool, string)
+    are rejected; empty input is accepted whatever its dtype.
 
     Returns:
         A boolean mask over the cells, true for the chosen ones.
@@ -101,6 +108,9 @@ def assign_cells(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray) -> np.n
         raise ValueError("scores must all be finite")
     if len(s) == 0:
         return np.zeros(0, dtype=bool)
+    for name, keys in (("rows", r), ("cols", c)):
+        if not np.issubdtype(keys.dtype, np.integer):
+            raise ValueError(f"{name} must hold integer keys, got dtype {keys.dtype}")
     row_keys, ri = np.unique(r, return_inverse=True)
     col_keys, ci = np.unique(c, return_inverse=True)
     return _assign_dense(ri, ci, len(row_keys), len(col_keys), s)
@@ -211,131 +221,80 @@ def _solve_component(cells: list[tuple[int, int, float]], n_rows: int, n_cols: i
 
     Rows and columns are local ranks in [0, n_rows) and [0, n_cols); the
     result holds the positions in ``cells`` of the chosen ones.
+
+    A cell whose encoding is <= 0 (a negative score) only lowers any sum it
+    joins, so it is dropped.  Every weight left is positive, so on the
+    shorter side a zero cost can stand for "unmatched": the best row-perfect
+    assignment of that side, restricted to its real cells, is the best
+    matching, and the encoding makes that matching unique.
     """
     encoded = _encode_cells(cells, n_rows, n_cols)
-
-    if n_rows == 1 or n_cols == 1:
-        # At most one pair can be selected; argmax over encoded weights.
-        best = None
-        for k, enc in enumerate(encoded):
-            if enc > 0 and (best is None or enc > best[0]):
-                best = (enc, k)
-        return [] if best is None else [best[1]]
-
-    # Tiny components: enumerate matchings outright.  The encoding gives
-    # every distinct matching a distinct integer sum whose order embeds the
-    # full preference chain, so the argmax over sums is the same matching
-    # the O(n^3) solve would return, without the big-integer machinery.
-    row_cells: list[list[tuple[int, int, int]]] = [[] for _ in range(n_rows)]
+    flip = n_rows > n_cols
+    cost = [[0] * max(n_rows, n_cols) for _ in range(min(n_rows, n_cols))]
+    cell_at = {}
     for k, ((i_loc, j_loc, _), enc) in enumerate(zip(cells, encoded)):
-        row_cells[i_loc].append((j_loc, enc, k))
-    work = 1
-    for rc in row_cells:
-        work *= len(rc) + 1
-        if work > 200:
-            break
-    if work <= 200:
-        best_sum = 0
-        best_cells: tuple[int, ...] = ()
-        chosen: list[int] = []
-
-        def walk(idx: int, used: int, acc: int) -> None:
-            nonlocal best_sum, best_cells
-            if idx == n_rows:
-                if acc > best_sum:
-                    best_sum = acc
-                    best_cells = tuple(chosen)
-                return
-            walk(idx + 1, used, acc)
-            for j_loc, enc, k in row_cells[idx]:
-                bit = 1 << j_loc
-                if not used & bit:
-                    chosen.append(k)
-                    walk(idx + 1, used | bit, acc + enc)
-                    chosen.pop()
-
-        walk(0, 0, 0)
-        return list(best_cells)
-
-    cell_at = {(i_loc, j_loc): k for k, (i_loc, j_loc, _) in enumerate(cells)}
-    big = sum(abs(e) for e in encoded) + 1
-    size = n_rows + n_cols
-    # Square min-cost matrix: real cells negated, each real row/column gets
-    # a private zero-cost dummy ("stay unmatched"), dummy-dummy is free, and
-    # everything else costs `big` so the optimum provably avoids it.
-    cost = [[big] * size for _ in range(size)]
-    for (i_loc, j_loc, _), enc in zip(cells, encoded):
-        cost[i_loc][j_loc] = -enc
-    for i_loc in range(n_rows):
-        cost[i_loc][n_cols + i_loc] = 0
-    for j_loc in range(n_cols):
-        dummy_row = cost[n_rows + j_loc]
-        dummy_row[j_loc] = 0
-        for i_loc in range(n_rows):
-            dummy_row[n_cols + i_loc] = 0
-    col_of_row = _min_cost_perfect(cost, inf=(big + 1) << 72)
-
-    out = []
-    for i_loc in range(n_rows):
-        j_loc = col_of_row[i_loc]
-        if j_loc < n_cols:
-            k = cell_at.get((i_loc, j_loc))
-            if k is None:
-                raise InternalInvariantError("assignment selected a forbidden cell")
-            out.append(k)
-    return out
+        if enc > 0:
+            if flip:
+                i_loc, j_loc = j_loc, i_loc
+            cost[i_loc][j_loc] = -enc
+            cell_at[i_loc, j_loc] = k
+    col_of_row = _min_cost_assignment(cost)
+    # One column per row makes the chosen cells distinct, with distinct rows
+    # and columns.
+    if len(set(col_of_row)) < len(col_of_row):
+        raise InternalInvariantError("assignment gave two rows one column")
+    return [cell_at[ij] for ij in enumerate(col_of_row) if ij in cell_at]
 
 
-def _min_cost_perfect(cost: list[list[int]], inf: int) -> list[int]:
-    """Min-cost perfect assignment on a square integer matrix.
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """Min-cost assignment of every row of an n x m integer matrix, n <= m.
 
-    Classic Hungarian algorithm with row/column potentials, O(n^3).  Runs on
-    arbitrary-precision integers, so it is exact; `inf` must exceed every
-    reachable reduced cost and only seeds the minima.  Returns, for each
-    row, the column it is matched to.
+    Shortest augmenting paths with row and column potentials, the
+    rectangular form of Jonker & Volgenant (Computing 1987) that Crouse
+    (IEEE TAES 2016) gives: one Dijkstra-like search per row, O(n^2 m) in
+    all.  Runs on arbitrary-precision integers, so it is exact.  Returns,
+    for each row, the column it is assigned to.
+
+    With n <= m a free column always remains, so every search ends; its
+    first scan reaches every column, so no ``inf`` enters the potentials.
     """
-    n = len(cost)
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: 1-based row matched to column j; p[0] is scratch
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+    n, m = len(cost), len(cost[0])
+    u, v = [0] * n, [0] * m
+    col_of_row, row_of_col = [-1] * n, [-1] * m
+    prev = [0] * m  # the row before each column on its shortest path
+    for start in range(n):
+        dist = [math.inf] * m  # shortest reduced path cost to each column
+        todo = list(range(m))  # columns not yet settled
+        settled = []
+        i, d = start, 0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = inf
-            j1 = 0
-            row = cost[i0 - 1]
-            u_i0 = u[i0]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u_i0 - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            row, base = cost[i], d - u[i]
+            best, j_best = math.inf, -1
+            for j in todo:
+                r = base + row[j] - v[j]
+                if r < dist[j]:
+                    dist[j], prev[j] = r, i
+                    if r < best:
+                        best, j_best = r, j
+                elif dist[j] < best:
+                    best, j_best = dist[j], j
+            todo.remove(j_best)
+            settled.append(j_best)
+            d = best
+            i = row_of_col[j_best]
+            if i < 0:
                 break
+        u[start] += d
+        for j in settled:
+            gain = d - dist[j]
+            v[j] -= gain
+            if row_of_col[j] >= 0:
+                u[row_of_col[j]] += gain
+        j = j_best
         while True:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-            if j0 == 0:
+            i = prev[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == start:
                 break
-    col_of_row = [0] * n
-    for j in range(1, n + 1):
-        col_of_row[p[j] - 1] = j - 1
     return col_of_row

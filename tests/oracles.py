@@ -21,7 +21,8 @@ from typing import Any
 
 import numpy as np
 
-from letrack.core import BBox, Detection, SequenceMeta
+from letrack.assignment import _encode_cells
+from letrack.core import BBox, Detection, InternalInvariantError, SequenceMeta
 from letrack.io import (
     FrameDetections,
     SchemaError,
@@ -81,6 +82,148 @@ def assignment_oracle(scores, feasible=None) -> list[tuple[int, int]]:
 
     rec(0, frozenset(), [])
     return list(best[0][2])
+
+
+# The exact component solve as it stood before the rectangular solver: the
+# same cell encoding, solved by enumeration when a component is tiny and
+# otherwise as an (n_rows + n_cols)-square with a private zero-cost dummy per
+# row and column.  It is the wide-component reference; assignment_oracle is
+# brute force and only reaches about 8 x 8.
+
+
+def solve_component_reference(cells: list[tuple[int, int, float]], n_rows: int, n_cols: int) -> list[int]:
+    """Exact solve of one component given as row-major (row, col, score) cells.
+
+    Rows and columns are local ranks in [0, n_rows) and [0, n_cols); the
+    result holds the positions in ``cells`` of the chosen ones.
+    """
+    encoded = _encode_cells(cells, n_rows, n_cols)
+
+    if n_rows == 1 or n_cols == 1:
+        # At most one pair can be selected; argmax over encoded weights.
+        best = None
+        for k, enc in enumerate(encoded):
+            if enc > 0 and (best is None or enc > best[0]):
+                best = (enc, k)
+        return [] if best is None else [best[1]]
+
+    # Tiny components: enumerate matchings outright.  The encoding gives
+    # every distinct matching a distinct integer sum whose order embeds the
+    # full preference chain, so the argmax over sums is the same matching
+    # the O(n^3) solve would return, without the big-integer machinery.
+    row_cells: list[list[tuple[int, int, int]]] = [[] for _ in range(n_rows)]
+    for k, ((i_loc, j_loc, _), enc) in enumerate(zip(cells, encoded)):
+        row_cells[i_loc].append((j_loc, enc, k))
+    work = 1
+    for rc in row_cells:
+        work *= len(rc) + 1
+        if work > 200:
+            break
+    if work <= 200:
+        best_sum = 0
+        best_cells: tuple[int, ...] = ()
+        chosen: list[int] = []
+
+        def walk(idx: int, used: int, acc: int) -> None:
+            nonlocal best_sum, best_cells
+            if idx == n_rows:
+                if acc > best_sum:
+                    best_sum = acc
+                    best_cells = tuple(chosen)
+                return
+            walk(idx + 1, used, acc)
+            for j_loc, enc, k in row_cells[idx]:
+                bit = 1 << j_loc
+                if not used & bit:
+                    chosen.append(k)
+                    walk(idx + 1, used | bit, acc + enc)
+                    chosen.pop()
+
+        walk(0, 0, 0)
+        return list(best_cells)
+
+    cell_at = {(i_loc, j_loc): k for k, (i_loc, j_loc, _) in enumerate(cells)}
+    big = sum(abs(e) for e in encoded) + 1
+    size = n_rows + n_cols
+    # Square min-cost matrix: real cells negated, each real row/column gets
+    # a private zero-cost dummy ("stay unmatched"), dummy-dummy is free, and
+    # everything else costs `big` so the optimum provably avoids it.
+    cost = [[big] * size for _ in range(size)]
+    for (i_loc, j_loc, _), enc in zip(cells, encoded):
+        cost[i_loc][j_loc] = -enc
+    for i_loc in range(n_rows):
+        cost[i_loc][n_cols + i_loc] = 0
+    for j_loc in range(n_cols):
+        dummy_row = cost[n_rows + j_loc]
+        dummy_row[j_loc] = 0
+        for i_loc in range(n_rows):
+            dummy_row[n_cols + i_loc] = 0
+    col_of_row = _min_cost_perfect_reference(cost, inf=(big + 1) << 72)
+
+    out = []
+    for i_loc in range(n_rows):
+        j_loc = col_of_row[i_loc]
+        if j_loc < n_cols:
+            k = cell_at.get((i_loc, j_loc))
+            if k is None:
+                raise InternalInvariantError("assignment selected a forbidden cell")
+            out.append(k)
+    return out
+
+
+def _min_cost_perfect_reference(cost: list[list[int]], inf: int) -> list[int]:
+    """Min-cost perfect assignment on a square integer matrix.
+
+    Classic Hungarian algorithm with row/column potentials, O(n^3).  Runs on
+    arbitrary-precision integers, so it is exact; `inf` must exceed every
+    reachable reduced cost and only seeds the minima.  Returns, for each
+    row, the column it is matched to.
+    """
+    n = len(cost)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)  # p[j]: 1-based row matched to column j; p[0] is scratch
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = inf
+            j1 = 0
+            row = cost[i0 - 1]
+            u_i0 = u[i0]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u_i0 - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while True:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+            if j0 == 0:
+                break
+    col_of_row = [0] * n
+    for j in range(1, n + 1):
+        col_of_row[p[j] - 1] = j - 1
+    return col_of_row
 
 
 # ---------------------------------------------------------------------------

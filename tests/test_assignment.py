@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from letrack import assignment
 from letrack.assignment import assign_cells, hungarian_max
 
-from oracles import assignment_oracle
+from oracles import assignment_oracle, solve_component_reference
 
 
 def test_frozen_two_by_two():
@@ -204,16 +204,16 @@ def test_assign_cells_single_row_and_single_column_components(k):
 
 
 def test_assign_cells_full_block_takes_the_exact_solver(monkeypatch):
-    # 6**5 row choices exceed the enumeration budget, so this block goes
-    # through _min_cost_perfect; tie-heavy scores probe its tie-break.
+    # A dense 5 x 5 block is one component, solved by one rows x cols call
+    # of the rectangular solver; tie-heavy scores probe its tie-break.
     calls = []
-    solve = assignment._min_cost_perfect
+    solve = assignment._min_cost_assignment
 
-    def spy(cost, inf):
-        calls.append(len(cost))
-        return solve(cost, inf)
+    def spy(cost):
+        calls.append((len(cost), len(cost[0])))
+        return solve(cost)
 
-    monkeypatch.setattr(assignment, "_min_cost_perfect", spy)
+    monkeypatch.setattr(assignment, "_min_cost_assignment", spy)
     rng = np.random.default_rng(5)
     scores = rng.choice([0.0, 0.25, 0.5, 1.0], (5, 5))
     feasible = np.ones((5, 5), dtype=bool)
@@ -221,7 +221,63 @@ def test_assign_cells_full_block_takes_the_exact_solver(monkeypatch):
     cells = _dense_cells(scores, feasible, row_keys, col_keys)
     want = [(row_keys[i], col_keys[j]) for i, j in assignment_oracle(scores, feasible)]
     assert _chosen(*zip(*cells)) == want
-    assert calls == [10]
+    assert calls == [(5, 5)]
+
+
+# Square blocks up to 40 wide and skinny ones, beyond what the brute-force
+# oracle can reach; the square-padded solver in oracles is the reference.
+_WIDE = st.one_of(
+    st.integers(1, 40).map(lambda k: (k, k)),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    st.tuples(st.integers(1, 3), st.integers(30, 40)),
+    st.tuples(st.integers(30, 40), st.integers(1, 3)),
+)
+
+
+def _wide_block(data, shape):
+    """Feasible cells of a random block as row-major (row, col, score) triples.
+
+    Scores come from a short drawn palette, so ties are common.
+    """
+    palette = data.draw(st.lists(_SCORES, min_size=1, max_size=12), label="palette")
+    density = data.draw(st.floats(0.05, 1.0), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows, cols = np.nonzero(rng.random(shape) < density)
+    picks = rng.integers(0, len(palette), len(rows))
+    return [(i, j, palette[k]) for i, j, k in zip(rows.tolist(), cols.tolist(), picks.tolist())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_wide_components_match_the_square_reference(data):
+    n, m = data.draw(_WIDE, label="shape")
+    cells = _wide_block(data, (n, m))
+    got = assignment._solve_component(cells, n, m) if cells else []
+    want = solve_component_reference(cells, n, m) if cells else []
+    assert sorted(got) == sorted(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_assign_cells_wide_blocks_match_the_square_reference(data):
+    # Several wide blocks with interleaved keys, their cells shuffled
+    # together: each block is solved as if it were alone.
+    shapes = data.draw(st.lists(_WIDE, min_size=2, max_size=4), label="shapes")
+    n_rows, n_cols = sum(n for n, _ in shapes), sum(m for _, m in shapes)
+    row_pool = data.draw(st.permutations(range(2 * n_rows)), label="row keys")
+    col_pool = data.draw(st.permutations(range(3 * n_cols)), label="col keys")
+    cells, want = [], []
+    for n, m in shapes:
+        row_keys, row_pool = sorted(row_pool[:n]), row_pool[n:]
+        col_keys, col_pool = sorted(col_pool[:m]), col_pool[m:]
+        block = _wide_block(data, (n, m))
+        cells += [(row_keys[i], col_keys[j], v) for i, j, v in block]
+        for k in solve_component_reference(block, n, m) if block else []:
+            want.append((row_keys[block[k][0]], col_keys[block[k][1]]))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="order seed")
+    cells = [cells[k] for k in np.random.default_rng(seed).permutation(len(cells))]
+    rows, cols, scores = (list(v) for v in zip(*cells)) if cells else ([], [], [])
+    assert _chosen(rows, cols, scores) == sorted(want)
 
 
 def test_assign_cells_empty_input():
@@ -243,3 +299,11 @@ def test_assign_cells_rejects_bad_input():
             assign_cells(np.arange(2), np.arange(2), np.array([0.5, bad]))
     with pytest.raises(ValueError, match="duplicate"):
         assign_cells(np.array([0, 1, 0]), np.array([4, 4, 4]), np.array([0.5, 0.5, 0.25]))
+    # Keys must be integers: two NaN rows would otherwise merge into one.
+    good = np.array([1, 2])
+    for bad in ([np.nan, np.nan], [0.0, 1.0], [True, False], ["a", "b"], np.array([1, 2], dtype=object)):
+        bad = np.asarray(bad)
+        with pytest.raises(ValueError, match=f"rows .*dtype {bad.dtype}"):
+            assign_cells(bad, good, np.array([0.5, 0.9]))
+        with pytest.raises(ValueError, match=f"cols .*dtype {bad.dtype}"):
+            assign_cells(good, bad, np.array([0.5, 0.9]))
