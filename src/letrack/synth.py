@@ -16,7 +16,8 @@ Draw order (any change here is a format break):
    vy each ``uniform_in(-2, 2)``.
 3. Per frame ascending, per track ascending: one uniform (the detection is
    emitted iff it is ``>= p_drop``); if emitted, four jitter gaussians, then
-   ``app_emb_dim`` noise gaussians, then ``cls_emb_dim`` noise gaussians.
+   ``app_emb_dim`` noise gaussians, then ``cls_emb_dim`` noise gaussians
+   (taken as one ``gauss_vec`` block and sliced, which is the same stream).
    The noise draws happen even when the sigmas are zero, so the stream
    position never depends on the noise settings.  After the real tracks,
    one uniform per spurious slot (``num_tracks`` slots, each firing with
@@ -56,7 +57,7 @@ from .io import (
     TrackObservation,
     TrackRecord,
 )
-from .maskops import RleMask, rle_encode
+from .maskops import RleMask
 from .rng import SplitMix64
 
 __all__ = [
@@ -153,9 +154,25 @@ class _Body:
 
 
 def _rect_mask(height: int, width: int, x0: int, y0: int, w: int, h: int) -> RleMask:
-    grid = np.zeros((height, width), dtype=bool)
-    grid[y0 : y0 + h, x0 : x0 + w] = True
-    return rle_encode(grid)
+    """Column-major runs of the in-frame rectangle, written without a grid.
+
+    Equal to ``rle_encode`` of the painted rectangle: a lead run of zeros,
+    then per column ``h`` ones and ``height - h`` zeros, the last column's
+    gap merging into the tail.  Full-height columns join into one run; a
+    zero tail run is dropped.
+    """
+    total = height * width
+    if w == 0 or h == 0:
+        return RleMask(size=(height, width), counts=(total,))
+    lead = x0 * height + y0
+    if h == height:
+        counts = [lead, h * w]
+    else:
+        counts = [lead, *[h, height - h] * (w - 1), h]
+    tail = total - lead - (w - 1) * height - h
+    if tail:
+        counts.append(tail)
+    return RleMask(size=(height, width), counts=tuple(counts))
 
 
 def _rasterize(box: BBox, height: int, width: int) -> RleMask:
@@ -231,9 +248,10 @@ def generate(cfg: SynthConfig) -> SynthResult:
             )
             if rng.uniform() < cfg.p_drop:
                 continue
-            jitter = [rng.gauss() for _ in range(4)]
-            app_noise = rng.gauss_vec(cfg.app_emb_dim)
-            cls_noise = rng.gauss_vec(cfg.cls_emb_dim)
+            noise = rng.gauss_vec(4 + cfg.app_emb_dim + cfg.cls_emb_dim)
+            jitter = noise[:4].tolist()
+            app_noise = noise[4 : 4 + cfg.app_emb_dim]
+            cls_noise = noise[4 + cfg.app_emb_dim :]
             s = cfg.box_jitter_sigma
             det_box = BBox(
                 gt_box.x + jitter[0] * s,

@@ -6,6 +6,9 @@ and literal set-counting definitions instead of algebraic shortcuts.  If
 production and oracle agree on thousands of random instances, the clever
 code earns its keep.
 
+The synthesis references draw the random stream one Gaussian at a time and
+paint rectangle masks on a full grid.
+
 The JSON references at the end are the loaders, validators and canonical
 writer in their per-element form, before the whole-list screens: every
 value is type-checked, every run and every detection walked one at a time.
@@ -37,7 +40,8 @@ from letrack.io import (
     _is_num,
     _sequences,
 )
-from letrack.maskops import RleMask, box_iou
+from letrack.maskops import RleMask, box_iou, rle_encode
+from letrack.rng import SplitMix64
 
 # ---------------------------------------------------------------------------
 # assignment
@@ -324,6 +328,22 @@ def hota_oracle(gt_tracks, pred_tracks, alpha: float) -> dict:
         "hota": math.sqrt(det_a * ass_a),
         "owta": math.sqrt(det_re * ass_a),
     }
+
+
+# ---------------------------------------------------------------------------
+# synthesis: the random stream and rectangle masks, one element at a time
+
+
+def gauss_vec_reference(rng: SplitMix64, n: int) -> np.ndarray:
+    """n scalar ``gauss()`` calls, in order."""
+    return np.array([rng.gauss() for _ in range(n)], dtype=np.float64)
+
+
+def rect_mask_reference(height: int, width: int, x0: int, y0: int, w: int, h: int) -> RleMask:
+    """Paint the rectangle on a full grid, then run-length encode it."""
+    grid = np.zeros((height, width), dtype=bool)
+    grid[y0 : y0 + h, x0 : x0 + w] = True
+    return rle_encode(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from letrack.cli import main
 from letrack.io import load_tracks, save_bank, save_detections, save_tracks
+from letrack.maskops import rle_decode
 from letrack.synth import SynthConfig, generate
 
 from helpers import burst_doc
@@ -52,6 +53,68 @@ def test_synth_is_deterministic(synth_dir, tmp_path):
     assert rc == 0
     for name in ("gt.json", "dets.json", "bank.json"):
         assert (tmp_path / name).read_bytes() == (synth_dir / name).read_bytes()
+
+
+# sha256 of the three `letrack synth` outputs for two configs.  "noisy" sets
+# every noise knob on the default 64x96 frame.  "tiny" jitters boxes by
+# sigma 20 on an 8x8 frame, so clamped detections come out empty, at full
+# height, touching the bottom-right corner and covering the whole frame.
+# Any change to the generator, its random stream or its masks must keep
+# these bytes.
+PINNED_SYNTH = {
+    "noisy": (
+        "seed = 5\nnum_frames = 10\nnum_tracks = 6\np_drop = 0.2\np_fp = 0.6\n"
+        "box_jitter_sigma = 1.5\napp_noise_sigma = 0.3\ncls_noise_sigma = 0.1\n",
+        {
+            "gt.json": "df61a7bba0ff11e9622f7167a7cf75d6283fe36918461fbc30d9a3fd8238b3dd",
+            "dets.json": "76cf00750cf43dcaa5d357de473ad52c930b34388e8ecf55ff08278ec6cd7bf2",
+            "bank.json": "822e79810b8ca601009b4f651ff502249ea4730a3efe2f923f2d42897b058624",
+        },
+    ),
+    "tiny": (
+        "seed = 11\nnum_frames = 8\nnum_tracks = 3\nframe_height = 8\nframe_width = 8\n"
+        "p_fp = 1.0\nbox_jitter_sigma = 20\n",
+        {
+            "gt.json": "33453ddd107ae3eb896d56d814b140f5de7ac3c0eeda9573cb390b999fa928e7",
+            "dets.json": "8df5f10d3b8a0f01c3a6b76833f64e7644000a56072d7be4aca615a14d2f8473",
+            "bank.json": "7c4e08770f3961b519856c41367bb27507118d4f7e77bc176dcc09e07b605d21",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SYNTH))
+def test_synth_outputs_match_pinned_digests(name, tmp_path):
+    text, digests = PINNED_SYNTH[name]
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(text)
+    rc = main(
+        [
+            "synth",
+            "--config", str(cfg),
+            "--out-gt", str(tmp_path / "gt.json"),
+            "--out-dets", str(tmp_path / "dets.json"),
+            "--out-bank", str(tmp_path / "bank.json"),
+        ]
+    )
+    assert rc == 0
+    for fname, digest in digests.items():
+        assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
+def test_tiny_synth_config_reaches_the_mask_edge_cases():
+    text, _ = PINNED_SYNTH["tiny"]
+    cfg = SynthConfig.from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    res = generate(cfg)
+    h, w = cfg.frame_height, cfg.frame_width
+    masks = [d.mask for f in res.detections[0].frames for d in f.detections]
+    grids = [rle_decode(m) for m in masks]
+    areas = [int(g.sum()) for g in grids]
+    assert 0 in areas
+    assert h * w in areas
+    # A partial rectangle spanning every row, and one holding the last pixel.
+    assert any(0 < a < h * w and g.any(axis=1).all() for g, a in zip(grids, areas))
+    assert any(0 < a < h * w and g[-1, -1] for g, a in zip(grids, areas))
 
 
 def test_track_then_eval_pipeline(synth_dir, tmp_path, capsys):

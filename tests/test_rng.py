@@ -1,8 +1,13 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letrack.rng import SplitMix64
+
+from oracles import gauss_vec_reference
 
 # Published splitmix64 reference outputs.
 SEED0_WORDS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC)
@@ -100,6 +105,33 @@ def test_gauss_vec_matches_scalar_draws():
     assert vec.shape == (16,)
     assert vec.dtype == np.float64
     assert all(vec[i] == b.gauss() for i in range(16))
+
+
+_SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**64 - 1, 2**64 - 2, 2**63]),
+    st.integers(2**64 - 4096, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_SEEDS, n=st.integers(0, 300))
+def test_gauss_vec_equals_scalar_reference(seed, n):
+    block = SplitMix64(seed)
+    scalar = SplitMix64(seed)
+    got = block.gauss_vec(n)
+    want = gauss_vec_reference(scalar, n)
+    assert got.dtype == np.float64
+    assert got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_gauss_vec_rejects_negative_n():
+    g = SplitMix64(6)
+    with pytest.raises(ValueError, match="n >= 0"):
+        g.gauss_vec(-1)
+    assert g.next_u64() == SplitMix64(6).next_u64()
 
 
 def test_unit_vector_norm_and_determinism():

@@ -2,16 +2,23 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from letrack.core import BBox
 from letrack.io import bank_to_jsonable, detections_to_jsonable, dumps_canonical, tracks_to_jsonable
-from letrack.maskops import mask_to_box, rle_decode
+from letrack.maskops import mask_to_box, rle_decode, rle_encode, validate_rle
 from letrack.synth import (
     APP_EMB_SCALE,
     ID_REMAP_OFFSET,
     SynthConfig,
+    _rasterize,
+    _rect_mask,
     generate,
     perfect_tracker,
 )
+
+from oracles import rect_mask_reference
 
 
 def render(result):
@@ -219,3 +226,75 @@ def test_config_is_frozen():
     cfg = SynthConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 2
+
+
+# ---------------------------------------------------------------------------
+# rectangle masks in closed form
+
+
+def test_rect_mask_equals_painted_grid_on_every_small_frame():
+    # Every in-frame rectangle, empty ones included, on frames up to 6x6:
+    # this reaches h == height, the full frame and both far edges.
+    cases = 0
+    for height in range(1, 7):
+        for width in range(1, 7):
+            for x0 in range(width + 1):
+                for y0 in range(height + 1):
+                    for w in range(width - x0 + 1):
+                        for h in range(height - y0 + 1):
+                            got = _rect_mask(height, width, x0, y0, w, h)
+                            assert got == rect_mask_reference(height, width, x0, y0, w, h), (
+                                height, width, x0, y0, w, h)
+                            assert validate_rle(got) == []
+                            cases += 1
+    assert cases == 83 * 83  # (sum of (n + 1)(n + 2) / 2 over n = 1..6) squared
+
+
+def _painted_box(box: BBox, height: int, width: int) -> np.ndarray:
+    """Pixels whose centre lies in (x, x + w] x (y, y + h], inside the frame."""
+    cx = np.arange(width) + 0.5
+    cy = np.arange(height) + 0.5
+    in_x = (cx > box.x) & (cx <= box.x + box.w)
+    in_y = (cy > box.y) & (cy <= box.y + box.h)
+    return in_y[:, None] & in_x[None, :]
+
+
+# Quarter-pixel steps keep every edge and sum exact.
+_QUARTERS = st.integers(-40, 40).map(lambda k: k / 4)
+_EXTENTS = st.integers(0, 48).map(lambda k: k / 4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    height=st.integers(1, 6),
+    width=st.integers(1, 6),
+    x=_QUARTERS,
+    y=_QUARTERS,
+    w=_EXTENTS,
+    h=_EXTENTS,
+)
+def test_rasterize_equals_painted_grid(height, width, x, y, w, h):
+    box = BBox(x, y, w, h)
+    assert _rasterize(box, height, width) == rle_encode(_painted_box(box, height, width))
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        BBox(-9.0, 1.0, 3.0, 2.0),  # wholly left of the frame
+        BBox(6.5, 1.0, 3.0, 2.0),  # wholly right
+        BBox(1.0, -7.25, 2.0, 3.0),  # wholly above
+        BBox(1.0, 9.0, 2.0, 3.0),  # wholly below
+        BBox(2.0, 2.0, 0.0, 3.0),  # zero width
+        BBox(2.25, 2.0, 0.5, 3.0),  # rounds to zero width
+        BBox(-1.0, -1.0, 3.0, 3.0),  # clipped at the top-left corner
+        BBox(4.0, 3.0, 5.0, 5.0),  # clipped at the bottom-right corner
+        BBox(-2.0, -2.0, 20.0, 20.0),  # covers the frame
+        BBox(1.0, -3.0, 2.0, 30.0),  # full height, partial width
+    ],
+)
+def test_rasterize_outside_and_clamped_boxes(box):
+    height, width = 5, 6
+    got = _rasterize(box, height, width)
+    assert got == rle_encode(_painted_box(box, height, width))
+    assert validate_rle(got) == []
