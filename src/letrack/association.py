@@ -30,7 +30,13 @@ import numpy as np
 from .assignment import hungarian_max
 from .classification import CategoryBank, classify_detection, track_label, vote, vote_fraction
 from .core import Detection, InternalInvariantError, SequenceMeta, TrackState, TrackStatus
-from .io import SequenceDetections, SequenceTracks, TrackObservation, TrackRecord
+from .io import (
+    SequenceDetections,
+    SequenceTracks,
+    TrackObservation,
+    TrackRecord,
+    config_from_mapping,
+)
 
 __all__ = [
     "Diagnostics",
@@ -84,16 +90,7 @@ class TrackerConfig:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "TrackerConfig":
         """Build from flat string key/value pairs (the config file form)."""
-        kwargs: dict[str, object] = {}
-        for key, raw in mapping.items():
-            if key == "max_lost_frames":
-                kwargs[key] = int(raw)
-            elif key in ("match_threshold", "new_track_threshold", "cem_gate_threshold",
-                         "embedding_momentum"):
-                kwargs[key] = float(raw)
-            else:
-                raise ValueError(f"unknown tracker config key {key!r}")
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return config_from_mapping(cls, mapping, "tracker")
 
 
 @dataclass
@@ -340,7 +337,7 @@ def _run(
     cfg: TrackerConfig | None,
     bank: CategoryBank | None,
 ) -> Tracker:
-    frame_map = dict(frames.items() if isinstance(frames, Mapping) else frames)
+    frame_map = dict(frames)
     for idx in frame_map:
         if not (0 <= idx < meta.num_frames):
             raise ValueError(

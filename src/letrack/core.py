@@ -2,9 +2,10 @@
 
 Construction is deliberately dumb: the dataclasses here hold whatever they
 are given, and :func:`validate_sequence` is the single gate that decides
-whether a sequence's detections satisfy every invariant.  It returns the
-complete list of violations instead of stopping at the first, so a caller
-can report everything wrong with a file in one pass.
+whether a sequence's detections satisfy every invariant, each invariant
+once, in array passes over the whole sequence.  It returns the complete
+list of violations instead of stopping at the first, so a caller can
+report everything wrong with a file in one pass.
 """
 
 from __future__ import annotations
@@ -99,119 +100,92 @@ class SequenceMeta:
     num_frames: int
 
 
-def _check_box(box: BBox, where: str, issues: list[str]) -> None:
-    vals = (box.x, box.y, box.w, box.h)
-    if not all(np.isfinite(v) for v in vals):
-        issues.append(f"{where}: box coordinates must be finite, got {vals}")
-        return
-    if box.w < 0 or box.h < 0:
-        issues.append(f"{where}: box width/height must be >= 0, got w={box.w} h={box.h}")
-
-
-_NUMERIC_KINDS = frozenset("biuf")
-
-
-def _numeric(values: list) -> np.ndarray | None:
-    arr = np.asarray(values)
-    return arr if arr.dtype.kind in _NUMERIC_KINDS else None
-
-
-def _embeddings_ok(embs: list) -> bool:
-    """True when every embedding is finite, 1-D, non-empty and one size."""
-    shapes = set(map(attrgetter("shape"), embs))
-    if len(shapes) != 1 or len(shape := shapes.pop()) != 1 or shape[0] == 0:
-        return False
-    flat = _numeric(np.concatenate(embs))
-    return flat is not None and bool(np.isfinite(flat).all())
-
-
-def _screen(meta: SequenceMeta, detections: Sequence[Detection]) -> bool:
-    """True when no detection can have a violation, checked in whole-sequence
-    array passes.  False only means the per-detection walk must decide."""
-    if not detections:
-        return True
-    frames = _numeric(list(map(attrgetter("frame_index"), detections)))
-    objectness = _numeric(list(map(attrgetter("objectness"), detections)))
-    # One list per coordinate: a 4-tuple per detection would leave the
-    # allocator's arenas fragmented and raise the process's peak RSS.
-    boxes = _numeric([list(map(attrgetter(f"box.{c}"), detections)) for c in "xywh"])
-    if frames is None or objectness is None or boxes is None:
-        return False
-    if not (
-        ((0 <= frames) & (frames < meta.num_frames)).all()
-        and ((0.0 <= objectness) & (objectness <= 1.0)).all()
-        and np.isfinite(boxes).all()
-        and (boxes[2:] >= 0).all()
-    ):
-        return False
-    if not (
-        _embeddings_ok(list(map(attrgetter("app_emb"), detections)))
-        and _embeddings_ok(list(map(attrgetter("cls_emb"), detections)))
-    ):
-        return False
-    masks = [d.mask for d in detections if d.mask is not None]
-    return set(map(tuple, map(attrgetter("size"), masks))) <= {(meta.height, meta.width)}
+def _embedding_checks(detections: Sequence[Detection], name: str) -> tuple[list, tuple]:
+    """(flags, message) for the form checks of one embedding kind (1-D,
+    non-empty, finite) and for its dimension, that of the first 1-D,
+    non-empty one.  One shape for the whole kind needs no per-embedding pass."""
+    embs = list(map(attrgetter(name), detections))
+    n = len(embs)
+    if len(set(map(attrgetter("shape"), embs))) == 1:
+        ndim, size = np.full(n, embs[0].ndim), np.full(n, embs[0].size)
+    else:
+        ndim = np.fromiter(map(attrgetter("ndim"), embs), np.int64, n)
+        size = np.fromiter(map(attrgetter("size"), embs), np.int64, n)
+    one_d = ndim == 1
+    ok = one_d & (size > 0)
+    ok_idx = np.flatnonzero(ok)
+    dim = int(size[ok_idx[0]]) if ok_idx.size else None
+    nonfinite = np.zeros(n, dtype=bool)
+    if ok_idx.size:
+        # One concatenate of the 1-D, non-empty embeddings; the k-th of them
+        # owns the values before ends[k].
+        ok_embs = embs if ok_idx.size == n else [embs[i] for i in ok_idx]
+        finite = np.isfinite(np.concatenate(ok_embs))
+        if not finite.all():
+            ends = np.cumsum(size[ok_idx])
+            nonfinite[ok_idx[np.searchsorted(ends, np.flatnonzero(~finite), side="right")]] = True
+    form = [
+        (~one_d, f"{name} must be 1-D, got shape {{d.{name}.shape}}"),
+        (one_d & (size == 0), f"{name} must be non-empty"),
+        (nonfinite, f"{name} has non-finite values"),
+    ]
+    mismatch = f"{name} embedding dimension mismatch, got {{d.{name}.size}}, expected {dim}"
+    return form, (ok & (size != dim), mismatch)
 
 
 def validate_sequence(meta: SequenceMeta, detections: Sequence[Detection]) -> list[str]:
     """Check every detection of a sequence against the type invariants.
 
     Returns the complete list of violation messages; an empty list means the
-    sequence is valid.  Embedding dimensions are data-driven: the first
-    detection fixes the appearance and class dimensions and every later
-    detection must agree.  A sequence that passes the whole-sequence screen
-    has no violation; only one that fails it is walked detection by
-    detection, which writes every message.
+    sequence is valid.  Embedding dimensions are data-driven: the first 1-D,
+    non-empty embedding fixes the appearance (or class) dimension and every
+    other must agree.  Each invariant is decided once, for every detection
+    in one array pass; messages are then written for the flagged detections
+    only, in detection order.
     """
     issues: list[str] = []
     if meta.height < 1 or meta.width < 1:
         issues.append(f"meta: frame size must be >= 1x1, got {meta.height}x{meta.width}")
     if meta.num_frames < 1:
         issues.append(f"meta: num_frames must be >= 1, got {meta.num_frames}")
-    if _screen(meta, detections):
-        return issues
 
-    app_dim: int | None = None
-    cls_dim: int | None = None
-    for i, det in enumerate(detections):
-        where = f"detections[{i}]"
-        if not (0 <= det.frame_index < meta.num_frames):
-            issues.append(
-                f"{where}: frame_index out of range, got {det.frame_index} "
-                f"for {meta.num_frames} frames"
-            )
-        if not (np.isfinite(det.objectness) and 0.0 <= det.objectness <= 1.0):
-            issues.append(f"{where}: objectness out of range [0, 1], got {det.objectness}")
-        _check_box(det.box, where, issues)
+    frames = np.array(list(map(attrgetter("frame_index"), detections)))
+    bad_frame = ~((0 <= frames) & (frames < meta.num_frames))
+    objectness = np.array(list(map(attrgetter("objectness"), detections)))
+    bad_objectness = ~((0.0 <= objectness) & (objectness <= 1.0))
+    # One list per coordinate: a 4-tuple per detection would leave the
+    # allocator's arenas fragmented and raise the process's peak RSS.
+    bboxes = list(map(attrgetter("box"), detections))
+    boxes = np.array([list(map(attrgetter(c), bboxes)) for c in "xywh"])
+    box_finite = np.isfinite(boxes).all(axis=0)
+    bad_extent = box_finite & (boxes[2:] < 0).any(axis=0)
+    app_form, app_dim = _embedding_checks(detections, "app_emb")
+    cls_form, cls_dim = _embedding_checks(detections, "cls_emb")
+    # Each distinct mask size is decided once; per-detection flags only when one is wrong.
+    masks = [d.mask for d in detections if d.mask is not None]
+    wrong = set(map(tuple, map(attrgetter("size"), masks))) - {(meta.height, meta.width)}
+    bad_mask = np.zeros(len(detections), dtype=bool)
+    if wrong:
+        bad_mask[:] = [d.mask is not None and tuple(d.mask.size) in wrong for d in detections]
 
-        for name, emb in (("app_emb", det.app_emb), ("cls_emb", det.cls_emb)):
-            if emb.ndim != 1:
-                issues.append(f"{where}: {name} must be 1-D, got shape {emb.shape}")
-                continue
-            if emb.size == 0:
-                issues.append(f"{where}: {name} must be non-empty")
-                continue
-            if not np.all(np.isfinite(emb)):
-                issues.append(f"{where}: {name} has non-finite values")
-        if det.app_emb.ndim == 1 and det.app_emb.size > 0:
-            if app_dim is None:
-                app_dim = det.app_emb.size
-            elif det.app_emb.size != app_dim:
-                issues.append(
-                    f"{where}: app_emb embedding dimension mismatch, "
-                    f"got {det.app_emb.size}, expected {app_dim}"
-                )
-        if det.cls_emb.ndim == 1 and det.cls_emb.size > 0:
-            if cls_dim is None:
-                cls_dim = det.cls_emb.size
-            elif det.cls_emb.size != cls_dim:
-                issues.append(
-                    f"{where}: cls_emb embedding dimension mismatch, "
-                    f"got {det.cls_emb.size}, expected {cls_dim}"
-                )
-        if det.mask is not None and tuple(det.mask.size) != (meta.height, meta.width):
-            issues.append(
-                f"{where}: mask size {tuple(det.mask.size)} does not match "
-                f"sequence size ({meta.height}, {meta.width})"
-            )
+    # (flags, message) per invariant, in the order of a detection's messages.
+    # A message is a template filled from the detection ``d``, ``meta``, the
+    # box tuple and the mask size.
+    checks = [
+        (bad_frame, "frame_index out of range, got {d.frame_index} for {meta.num_frames} frames"),
+        (bad_objectness, "objectness out of range [0, 1], got {d.objectness}"),
+        (~box_finite, "box coordinates must be finite, got {box}"),
+        (bad_extent, "box width/height must be >= 0, got w={d.box.w} h={d.box.h}"),
+        *app_form,
+        *cls_form,
+        app_dim,
+        cls_dim,
+        (bad_mask, "mask size {mask} does not match sequence size ({meta.height}, {meta.width})"),
+    ]
+    flags, texts = zip(*checks)
+    hits = np.array(flags, dtype=bool)
+    for i in np.flatnonzero(hits.any(axis=0)):
+        d = detections[i]
+        fields = dict(d=d, meta=meta, box=d.box.as_tuple(), mask=d.mask and tuple(d.mask.size))
+        issues += [f"detections[{i}]: {texts[k].format(**fields)}" for k in np.flatnonzero(hits[:, i])]
     return issues

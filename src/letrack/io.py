@@ -35,13 +35,14 @@ skipped with a warning.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "TrackRecord",
     "bank_from_jsonable",
     "bank_to_jsonable",
+    "config_from_mapping",
     "detections_from_jsonable",
     "detections_to_jsonable",
     "dumps_canonical",
@@ -383,6 +385,19 @@ def _parse_meta(obj: dict, path: str, ctx: _Ctx) -> SequenceMeta | None:
     return SequenceMeta(name=name, height=height, width=width, num_frames=num_frames)
 
 
+def _root_list(obj: Any, ctx: _Ctx, key: str) -> list | None:
+    """The array under ``key`` of a root object whose only field is ``key``;
+    None, with the issue filed on ``ctx``, when either is malformed."""
+    root = _get_obj(obj, "$", ctx)
+    if root is None:
+        return None
+    ctx.check_keys(root, "$", frozenset({key}))
+    if key not in root:
+        ctx.issue(key, "missing required field")
+        return None
+    return _get_list(root[key], key, ctx)
+
+
 def _sequences(obj: Any, ctx: _Ctx, body_key: str) -> Iterator[tuple[str, SequenceMeta, list]]:
     """Yield (path, meta, body) for each sequence whose shared fields parse.
 
@@ -390,14 +405,7 @@ def _sequences(obj: Any, ctx: _Ctx, body_key: str) -> Iterator[tuple[str, Sequen
     the root object, the ``sequences`` array, each sequence's unknown keys,
     its meta, its ``body_key`` array and duplicate sequence names.
     """
-    root = _get_obj(obj, "$", ctx)
-    if root is None:
-        return
-    ctx.check_keys(root, "$", frozenset({"sequences"}))
-    if "sequences" not in root:
-        ctx.issue("sequences", "missing required field")
-        return
-    seq_list = _get_list(root["sequences"], "sequences", ctx)
+    seq_list = _root_list(obj, ctx, "sequences")
     if seq_list is None:
         return
     known = frozenset({"name", "height", "width", "num_frames", body_key})
@@ -781,34 +789,25 @@ _BANK_ENTRY_KEYS = frozenset({"id", "name", "split", "prototype"})
 
 def bank_from_jsonable(obj: Any, lax: bool = False) -> tuple[CategoryBank, list[str]]:
     ctx = _Ctx(lax=lax)
-    root = _get_obj(obj, "$", ctx)
     entries: list[CategoryEntry] = []
-    if root is not None:
-        ctx.check_keys(root, "$", frozenset({"categories"}))
-        if "categories" not in root:
-            ctx.issue("categories", "missing required field")
-        cat_list = _get_list(root.get("categories"), "categories", ctx) if "categories" in root else None
-        if cat_list is not None:
-            for ci, cat_v in enumerate(cat_list):
-                cpath = f"categories[{ci}]"
-                cat_obj = _get_obj(cat_v, cpath, ctx)
-                if cat_obj is None:
-                    continue
-                ctx.check_keys(cat_obj, cpath, _BANK_ENTRY_KEYS)
-                cid = _get_int(cat_obj, "id", cpath, ctx)
-                name = _get_str(cat_obj, "name", cpath, ctx)
-                split = _get_str(cat_obj, "split", cpath, ctx)
-                if split is not None and split not in SPLITS:
-                    ctx.issue(f"{cpath}.split", f"expected one of {SPLITS}, got {split!r}")
-                    split = None
-                proto = None
-                if cat_obj.get("prototype") is not None:
-                    proto = _parse_vector(cat_obj["prototype"], f"{cpath}.prototype", ctx)
-                if cid is None or name is None or split is None:
-                    continue
-                entries.append(
-                    CategoryEntry(category_id=cid, name=name, split=split, prototype=proto)
-                )
+    for ci, cat_v in enumerate(_root_list(obj, ctx, "categories") or ()):
+        cpath = f"categories[{ci}]"
+        cat_obj = _get_obj(cat_v, cpath, ctx)
+        if cat_obj is None:
+            continue
+        ctx.check_keys(cat_obj, cpath, _BANK_ENTRY_KEYS)
+        cid = _get_int(cat_obj, "id", cpath, ctx)
+        name = _get_str(cat_obj, "name", cpath, ctx)
+        split = _get_str(cat_obj, "split", cpath, ctx)
+        if split is not None and split not in SPLITS:
+            ctx.issue(f"{cpath}.split", f"expected one of {SPLITS}, got {split!r}")
+            split = None
+        proto = None
+        if cat_obj.get("prototype") is not None:
+            proto = _parse_vector(cat_obj["prototype"], f"{cpath}.prototype", ctx)
+        if cid is None or name is None or split is None:
+            continue
+        entries.append(CategoryEntry(category_id=cid, name=name, split=split, prototype=proto))
     if ctx.issues:
         raise SchemaError(ctx.issues)
     try:
@@ -865,6 +864,8 @@ def save_bank(path: str, bank: CategoryBank) -> None:
 # ---------------------------------------------------------------------------
 # flat config files
 
+_Config = TypeVar("_Config")
+
 
 def parse_flat_config(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' comments and blank lines are skipped."""
@@ -881,6 +882,19 @@ def parse_flat_config(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def config_from_mapping(cls: type[_Config], mapping: Mapping[str, str], kind: str) -> _Config:
+    """Build the dataclass ``cls`` from flat string key/value pairs: an
+    ``int`` field parses with ``int()``, every other with ``float()``, and a
+    key that names no field is an "unknown <kind> config key" error."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs: dict[str, object] = {}
+    for key, raw in mapping.items():
+        if key not in types:
+            raise ValueError(f"unknown {kind} config key {key!r}")
+        kwargs[key] = int(raw) if types[key] in (int, "int") else float(raw)
+    return cls(**kwargs)
 
 
 def load_flat_config(path: str) -> dict[str, str]:

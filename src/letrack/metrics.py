@@ -492,26 +492,6 @@ def _check_inputs(
     return gt_by_name, pred_by_name, warnings
 
 
-def _zero_split(mode: str, n_alphas: int, with_fp: bool) -> SplitScores:
-    zeros_f = tuple(0.0 for _ in range(n_alphas))
-    zeros_i = tuple(0 for _ in range(n_alphas))
-    per_alpha = {
-        ("HOTA" if mode == "closed" else "OWTA"): zeros_f,
-        ("DetA" if mode == "closed" else "DetRe"): zeros_f,
-        "AssA": zeros_f,
-    }
-    if mode == "closed":
-        per_alpha["LocA"] = zeros_f
-    return SplitScores(
-        combined=0.0,
-        det=0.0,
-        ass=0.0,
-        loc=0.0 if mode == "closed" else None,
-        per_alpha=per_alpha,
-        counts={"tp": zeros_i, "fn": zeros_i, "fp": zeros_i if with_fp else None},
-    )
-
-
 def _split_from_arrays(
     mode: str,
     det: np.ndarray,
@@ -556,12 +536,15 @@ def evaluate(
     total_gt_tracks = sum(len(s.tracks) for s in gt)
     if total_gt_tracks == 0:
         warnings.append("ground truth contains zero tracks; every metric is defined as 0")
+        zeros = np.zeros(n_alphas)
+        counts = {key: (0,) * n_alphas for key in ("tp", "fn", "fp")}
+        loc = zeros if cfg.mode == "closed" else None
         return MetricsReport(
             mode=cfg.mode,
             geometry=cfg.geometry,
             alphas=tuple(cfg.alphas),
             splits={
-                "all": _zero_split(cfg.mode, n_alphas, with_fp=True),
+                "all": _split_from_arrays(cfg.mode, zeros, zeros, loc, counts),
                 "common": None,
                 "uncommon": None,
             },

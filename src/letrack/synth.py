@@ -41,7 +41,6 @@ evaluate against the ground truth, and every score is 1.0.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -56,6 +55,7 @@ from .io import (
     SequenceTracks,
     TrackObservation,
     TrackRecord,
+    config_from_mapping,
 )
 from .maskops import RleMask
 from .rng import SplitMix64
@@ -124,14 +124,7 @@ class SynthConfig:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "SynthConfig":
         """Build from flat string key/value pairs (the config file form)."""
-        by_name = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs: dict[str, object] = {}
-        for key, raw in mapping.items():
-            f = by_name.get(key)
-            if f is None:
-                raise ValueError(f"unknown synth config key {key!r}")
-            kwargs[key] = int(raw) if f.type == "int" else float(raw)
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return config_from_mapping(cls, mapping, "synth")
 
 
 @dataclass
@@ -192,13 +185,17 @@ def _draw_extent(rng: SplitMix64, limit: int) -> int:
     return min(2 + rng.randint(max(1, limit // 4)), limit)
 
 
+def _draw_rect(rng: SplitMix64, cfg: SynthConfig) -> tuple[int, int, int, int]:
+    """Width, height and an in-frame top-left corner (x0, y0), in that draw order."""
+    w = _draw_extent(rng, cfg.frame_width)
+    h = _draw_extent(rng, cfg.frame_height)
+    return w, h, rng.randint(cfg.frame_width - w + 1), rng.randint(cfg.frame_height - h + 1)
+
+
 def _draw_body(rng: SplitMix64, cfg: SynthConfig) -> _Body:
     identity = rng.unit_vector(cfg.app_emb_dim) * APP_EMB_SCALE
     category_id = rng.randint(cfg.num_categories) + 1
-    w = _draw_extent(rng, cfg.frame_width)
-    h = _draw_extent(rng, cfg.frame_height)
-    x0 = rng.randint(cfg.frame_width - w + 1)
-    y0 = rng.randint(cfg.frame_height - h + 1)
+    w, h, x0, y0 = _draw_rect(rng, cfg)
     vx = rng.uniform_in(-2.0, 2.0)
     vy = rng.uniform_in(-2.0, 2.0)
     return _Body(identity, category_id, w, h, x0, y0, vx, vy)
@@ -273,10 +270,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
         for _ in range(cfg.num_tracks):
             if rng.uniform() >= cfg.p_fp / cfg.num_tracks:
                 continue
-            w = _draw_extent(rng, cfg.frame_width)
-            h = _draw_extent(rng, cfg.frame_height)
-            x0 = rng.randint(cfg.frame_width - w + 1)
-            y0 = rng.randint(cfg.frame_height - h + 1)
+            w, h, x0, y0 = _draw_rect(rng, cfg)
             app_emb = rng.unit_vector(cfg.app_emb_dim)
             cls_emb = rng.unit_vector(cfg.cls_emb_dim)
             objectness = rng.uniform_in(0.3, 0.8)

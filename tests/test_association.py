@@ -50,6 +50,13 @@ def test_config_from_mapping():
         TrackerConfig.from_mapping({"bogus": "1"})
 
 
+def test_config_from_mapping_rejects_values_of_the_wrong_type():
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        TrackerConfig.from_mapping({"max_lost_frames": "1.5"})
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        TrackerConfig.from_mapping({"match_threshold": "high"})
+
+
 # ---------------------------------------------------------------------------
 # scoring primitives
 

@@ -775,9 +775,12 @@ def test_loaders_match_the_per_element_reference(data):
     assert got == _outcome(reference, to_jsonable, doc, lax)
 
 
-def _emb(draw, dim):
-    shape = draw(st.sampled_from([(dim,), (dim,), (dim,), (0,), (dim + 1,), (1, dim)]))
-    arr = np.full(shape, 0.5)
+def _emb_shape(dim):
+    return st.sampled_from([(dim,), (dim,), (dim,), (0,), (dim + 1,), (1, dim), (0, dim)])
+
+
+def _emb(draw, dim, shape):
+    arr = np.full(shape if shape is not None else draw(_emb_shape(dim)), 0.5)
     if arr.size and draw(st.booleans()):
         arr.flat[0] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 2.0]))
     return arr
@@ -787,26 +790,44 @@ _COORD = st.sampled_from([0.0, 1.0, 2.5, -1.0, np.nan, np.inf, -np.inf])
 
 
 @st.composite
-def _detection(draw):
+def _detection(draw, app_shape=None, cls_shape=None):
     size = draw(st.sampled_from([(4, 4), (4, 4), (2, 4)]))
     return Detection(
         frame_index=draw(st.integers(-1, 3)),
         box=BBox(*(draw(_COORD) for _ in range(4))),
         objectness=draw(st.sampled_from([0.0, 0.5, 1.0, -0.1, 1.5, np.nan, True])),
-        app_emb=_emb(draw, 3),
-        cls_emb=_emb(draw, 2),
+        app_emb=_emb(draw, 3, app_shape),
+        cls_emb=_emb(draw, 2, cls_shape),
         mask=draw(st.sampled_from([None, RleMask(size=size, counts=(size[0] * size[1],))])),
     )
 
 
+@st.composite
+def _detections(draw):
+    # Each embedding kind either has one shape for every detection or a
+    # shape drawn per detection, so both of validate_sequence's shape
+    # branches run.
+    app_shape = draw(st.none() | _emb_shape(3))
+    cls_shape = draw(st.none() | _emb_shape(2))
+    return draw(st.lists(_detection(app_shape, cls_shape), max_size=12))
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    dets=st.lists(_detection(), max_size=6),
-    num_frames=st.integers(0, 3),
-)
+@given(dets=_detections(), num_frames=st.integers(0, 3))
 def test_validate_sequence_matches_the_per_detection_reference(dets, num_frames):
     meta = SequenceMeta(name="s", height=4, width=4, num_frames=num_frames)
     assert validate_sequence(meta, dets) == validate_sequence_reference(meta, dets)
+
+
+def test_validate_sequence_takes_frame_indices_beyond_int64():
+    # A JSON frame index may be any integer; the loader still builds the
+    # detection, so the gate must report it rather than overflow.
+    meta = SequenceMeta(name="s", height=4, width=4, num_frames=3)
+    base = dict(box=BBox(0.0, 0.0, 1.0, 1.0), objectness=0.5, app_emb=np.ones(3), cls_emb=np.ones(2))
+    dets = [Detection(frame_index=f, **base) for f in (2**70, 0, -(2**70), True)]
+    got = validate_sequence(meta, dets)
+    assert got == validate_sequence_reference(meta, dets)
+    assert [m.split(":")[0] for m in got] == ["detections[0]", "detections[2]"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from letrack.classification import CategoryBank, CategoryEntry
-from letrack.io import SchemaError, SequenceTracks, TrackObservation, TrackRecord
+from letrack.io import SchemaError, SequenceTracks, TrackObservation, TrackRecord, dumps_canonical
 from letrack.maskops import mask_to_box, rle_encode
 from letrack.metrics import (
     DEFAULT_ALPHAS,
@@ -414,6 +414,38 @@ def test_zero_gt_reports_zeros_and_warns():
     assert rep.splits["uncommon"] is None
     assert rep.diagnostics["zero_gt"] is True
     assert any("zero tracks" in w for w in rep.warnings)
+
+
+# Full canonical reports of a zero-gt evaluation (alphas 0.25, 0.5, 0.75).
+_ZERO_GT_REPORTS = {
+    "closed": (
+        '{"alphas":[0.25,0.5,0.75],"category_averaging":"unweighted mean over categories with at '
+        'least one gt track","diagnostics":{"box_fallback_pairs":0,"zero_gt":true},"geometry":"box",'
+        '"mode":"closed","per_category":[],"splits":{"all":{"AssA":0,"DetA":0,"HOTA":0,"LocA":0,'
+        '"counts":{"fn":[0,0,0],"fp":[0,0,0],"tp":[0,0,0]},"per_alpha":{"AssA":[0,0,0],'
+        '"DetA":[0,0,0],"HOTA":[0,0,0],"LocA":[0,0,0]}},"common":null,"uncommon":null},'
+        '"tie_break_weight":0.001,"warnings":["ground truth contains zero tracks; every metric is '
+        'defined as 0"]}'
+    ),
+    "open": (
+        '{"alphas":[0.25,0.5,0.75],"category_averaging":"unweighted mean over categories with at '
+        'least one gt track","diagnostics":{"box_fallback_pairs":0,"zero_gt":true},"geometry":"box",'
+        '"mode":"open","splits":{"all":{"AssA":0,"DetRe":0,"OWTA":0,'
+        '"counts":{"fn":[0,0,0],"fp":[0,0,0],"tp":[0,0,0]},"per_alpha":{"AssA":[0,0,0],'
+        '"DetRe":[0,0,0],"OWTA":[0,0,0]}},"common":null,"uncommon":null},'
+        '"tie_break_weight":0.001,"warnings":["ground truth contains zero tracks; every metric is '
+        'defined as 0"]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_ZERO_GT_REPORTS))
+def test_zero_gt_report_is_pinned(mode):
+    bank = two_split_bank()
+    pred = [seq_tracks([box_track(1, [(0, BOX)], category_id=1)])]
+    cfg = EvalConfig(alphas=(0.25, 0.5, 0.75), mode=mode, geometry="box")
+    rep = evaluate([seq_tracks([])], pred, bank, cfg)
+    assert dumps_canonical(rep.to_jsonable()) == _ZERO_GT_REPORTS[mode]
 
 
 def test_mask_geometry_uses_masks_when_present():

@@ -71,6 +71,8 @@ def test_from_mapping():
         SynthConfig.from_mapping({"frames": "9"})
     with pytest.raises(ValueError):
         SynthConfig.from_mapping({"seed": "1.5"})
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        SynthConfig.from_mapping({"p_drop": "often"})
 
 
 def test_gt_structure():
