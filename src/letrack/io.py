@@ -7,11 +7,14 @@ loading a canonically saved file and saving it again reproduces the bytes
 exactly, which is what makes determinism checks as simple as comparing
 files.
 
-Loaders validate structure exhaustively and report every problem, each
+Loaders validate structure exhaustively and report every fault once,
 prefixed with the JSON path of the offending value, e.g.
-``sequences[0].frames[2].detections[0].box: expected 4 numbers``.  In
-strict mode (the default) unknown fields are errors; in lax mode they are
-collected as warnings instead.
+``sequences[0].frames[2].detections[0].box: expected 4 numbers``.  Every
+field is read by one reader, ``_field``, the one place that files a missing
+required field; every number must fit a double, and an integer beyond that
+range is a fault at its field, not a crash.  In strict mode (the default)
+unknown fields are errors; in lax mode they are collected as warnings
+instead.
 
 ``tracks_from_burst`` converts a BURST annotation dump (Athar et al., WACV
 2023) to tracks::
@@ -42,7 +45,7 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Mapping, Optional, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -285,74 +288,106 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _all_num(v: list) -> bool:
-    return set(map(type, v)) <= _NUM or all(map(_is_num, v))
-
-
 def _all_int(v: list) -> bool:
     return set(map(type, v)) <= _INT or all(map(_is_int, v))
 
 
-def _get_obj(v: Any, path: str, ctx: _Ctx) -> dict | None:
-    if not isinstance(v, dict):
-        ctx.issue(path, f"expected an object, got {type(v).__name__}")
+def _doubles(v: list) -> list | None:
+    """``v`` as floats, or None unless every member is a number that fits a
+    double.  An all-float list is returned as it is; any other list of
+    numbers is converted by ``float()``, which raises ``OverflowError`` for
+    an integer beyond double range (RFC 8259 section 6)."""
+    kinds = set(map(type, v))
+    if kinds <= _FLOAT:
+        return v
+    try:
+        return list(map(float, v)) if kinds <= _NUM or all(map(_is_num, v)) else None
+    except OverflowError:
         return None
-    return v
 
 
-def _get_list(v: Any, path: str, ctx: _Ctx) -> list | None:
-    if not isinstance(v, list):
-        ctx.issue(path, f"expected an array, got {type(v).__name__}")
+def _field(
+    obj: dict, key: str, path: str, ctx: _Ctx, parse: Callable[..., Any], arg: Any = None,
+    required: bool = True,
+) -> Any:
+    """``obj[key]`` as ``parse(value, field_path, ctx[, arg])`` reads it, or None.
+
+    The one place that files "missing required field".  A missing optional
+    field, or one set to null, gives None; any other value goes to ``parse``,
+    which files its own issue and gives None when the value is unusable.  A
+    root field's path is its key alone (``path`` empty).  One optional
+    ``arg``, not ``*args``: forwarding ``*args`` doubles the cost of a read.
+    """
+    if key in obj:
+        v = obj[key]
+        if v is not None or required:
+            fpath = f"{path}.{key}" if path else key
+            return parse(v, fpath, ctx) if arg is None else parse(v, fpath, ctx, arg)
+    elif required:
+        ctx.issue(f"{path}.{key}" if path else key, "missing required field")
+    return None
+
+
+# Field parsers: (value, path, ctx[, arg]) -> the parsed value, or None with
+# one issue filed at ``path``.
+
+
+def _typed(kind: type, what: str) -> Callable[[Any, str, _Ctx], Any]:
+    """The parser of a field that must be a ``kind``, named ``what``."""
+
+    def parse(v: Any, path: str, ctx: _Ctx) -> Any:
+        if isinstance(v, kind):
+            return v
+        ctx.issue(path, f"expected {what}, got {type(v).__name__}")
         return None
-    return v
+
+    return parse
 
 
-def _get_int(obj: dict, key: str, path: str, ctx: _Ctx, minimum: int | None = None) -> int | None:
-    if key not in obj:
-        ctx.issue(f"{path}.{key}", "missing required field")
-        return None
-    v = obj[key]
+_obj, _list, _str = _typed(dict, "an object"), _typed(list, "an array"), _typed(str, "a string")
+
+
+def _int(v: Any, path: str, ctx: _Ctx, minimum: int | None = None) -> int | None:
     if not _is_int(v):
-        ctx.issue(f"{path}.{key}", f"expected an integer, got {v!r}")
+        ctx.issue(path, f"expected an integer, got {v!r}")
         return None
     if minimum is not None and v < minimum:
-        ctx.issue(f"{path}.{key}", f"expected an integer >= {minimum}, got {v}")
+        ctx.issue(path, f"expected an integer >= {minimum}, got {v}")
         return None
     return v
 
 
-def _get_str(obj: dict, key: str, path: str, ctx: _Ctx) -> str | None:
-    if key not in obj:
-        ctx.issue(f"{path}.{key}", "missing required field")
+def _number(v: Any, path: str, ctx: _Ctx, finite: bool = False) -> float | None:
+    x = _doubles([v])
+    if x is None or (finite and not math.isfinite(x[0])):
+        ctx.issue(path, f"expected a {'finite ' if finite else ''}number, got {v!r}")
         return None
-    v = obj[key]
-    if not isinstance(v, str):
-        ctx.issue(f"{path}.{key}", f"expected a string, got {type(v).__name__}")
-        return None
-    return v
+    return x[0]
 
 
-def _parse_box(v: Any, path: str, ctx: _Ctx) -> BBox | None:
-    if not (isinstance(v, list) and len(v) == 4 and _all_num(v)):
+def _box(v: Any, path: str, ctx: _Ctx) -> BBox | None:
+    xs = _doubles(v) if isinstance(v, list) and len(v) == 4 else None
+    if xs is None:
         ctx.issue(path, "expected 4 numbers")
         return None
-    return BBox(*map(float, v))
+    return BBox(*xs)
 
 
-def _parse_vector(v: Any, path: str, ctx: _Ctx) -> np.ndarray | None:
-    if not (isinstance(v, list) and len(v) > 0 and _all_num(v)):
+def _vector(v: Any, path: str, ctx: _Ctx) -> np.ndarray | None:
+    xs = _doubles(v) if isinstance(v, list) and v else None
+    if xs is None:
         ctx.issue(path, "expected a non-empty array of numbers")
         return None
-    return np.asarray(v, dtype=np.float64)
+    return np.asarray(xs, dtype=np.float64)
 
 
 _MASK_KEYS = frozenset({"counts", "size"})
 
 
-def _parse_mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int]) -> RleMask | None:
+def _mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int]) -> RleMask | None:
     """The mask at ``path``, or None if any issue was filed against it."""
     n_issues = len(ctx.issues)
-    obj = _get_obj(v, path, ctx)
+    obj = _obj(v, path, ctx)
     if obj is None:
         return None
     ctx.check_keys(obj, path, _MASK_KEYS)
@@ -375,27 +410,14 @@ def _parse_mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int]) -> RleM
     return mask if len(ctx.issues) == n_issues else None
 
 
-def _parse_meta(obj: dict, path: str, ctx: _Ctx) -> SequenceMeta | None:
-    name = _get_str(obj, "name", path, ctx)
-    height = _get_int(obj, "height", path, ctx, minimum=1)
-    width = _get_int(obj, "width", path, ctx, minimum=1)
-    num_frames = _get_int(obj, "num_frames", path, ctx, minimum=1)
-    if None in (name, height, width, num_frames):
-        return None
-    return SequenceMeta(name=name, height=height, width=width, num_frames=num_frames)
-
-
 def _root_list(obj: Any, ctx: _Ctx, key: str) -> list | None:
     """The array under ``key`` of a root object whose only field is ``key``;
     None, with the issue filed on ``ctx``, when either is malformed."""
-    root = _get_obj(obj, "$", ctx)
+    root = _obj(obj, "$", ctx)
     if root is None:
         return None
     ctx.check_keys(root, "$", frozenset({key}))
-    if key not in root:
-        ctx.issue(key, "missing required field")
-        return None
-    return _get_list(root[key], key, ctx)
+    return _field(root, key, "", ctx, _list)
 
 
 def _sequences(obj: Any, ctx: _Ctx, body_key: str) -> Iterator[tuple[str, SequenceMeta, list]]:
@@ -405,28 +427,23 @@ def _sequences(obj: Any, ctx: _Ctx, body_key: str) -> Iterator[tuple[str, Sequen
     the root object, the ``sequences`` array, each sequence's unknown keys,
     its meta, its ``body_key`` array and duplicate sequence names.
     """
-    seq_list = _root_list(obj, ctx, "sequences")
-    if seq_list is None:
-        return
     known = frozenset({"name", "height", "width", "num_frames", body_key})
     names: set[str] = set()
-    for si, seq_v in enumerate(seq_list):
+    for si, seq_v in enumerate(_root_list(obj, ctx, "sequences") or ()):
         path = f"sequences[{si}]"
-        seq_obj = _get_obj(seq_v, path, ctx)
+        seq_obj = _obj(seq_v, path, ctx)
         if seq_obj is None:
             continue
         ctx.check_keys(seq_obj, path, known)
-        meta = _parse_meta(seq_obj, path, ctx)
-        if body_key not in seq_obj:
-            ctx.issue(f"{path}.{body_key}", "missing required field")
+        name = _field(seq_obj, "name", path, ctx, _str)
+        dims = [_field(seq_obj, k, path, ctx, _int, 1) for k in ("height", "width", "num_frames")]
+        body = _field(seq_obj, body_key, path, ctx, _list)
+        if name is None or None in dims or body is None:
             continue
-        body = _get_list(seq_obj[body_key], f"{path}.{body_key}", ctx)
-        if meta is None or body is None:
-            continue
-        if meta.name in names:
-            ctx.issue(f"{path}.name", f"duplicate sequence name {meta.name!r}")
-        names.add(meta.name)
-        yield path, meta, body
+        if name in names:
+            ctx.issue(f"{path}.name", f"duplicate sequence name {name!r}")
+        names.add(name)
+        yield path, SequenceMeta(name, *dims), body
 
 
 def _seq_to_jsonable(meta: SequenceMeta, body_key: str, body: list) -> dict:
@@ -473,17 +490,18 @@ def _detections(
             if release:
                 frames_list[fi] = None
             fpath = f"{spath}.frames[{fi}]"
-            fr_obj = _get_obj(fr_v, fpath, ctx)
+            fr_obj = _obj(fr_v, fpath, ctx)
             if fr_obj is None:
                 continue
             ctx.check_keys(fr_obj, fpath, _FRAME_KEYS)
-            index = _get_int(fr_obj, "index", fpath, ctx, minimum=0)
-            dets_list = _get_list(fr_obj.get("detections"), f"{fpath}.detections", ctx)
-            if "detections" not in fr_obj:
-                ctx.issue(f"{fpath}.detections", "missing required field")
+            index = _field(fr_obj, "index", fpath, ctx, _int, 0)
+            dets_list = _field(fr_obj, "detections", fpath, ctx, _list)
             if index is None or dets_list is None:
                 continue
-            if index >= meta.num_frames:
+            # A frame out of range still has its detections checked, but
+            # builds none: the fault is filed once, here.
+            in_range = index < meta.num_frames
+            if not in_range:
                 ctx.issue(
                     f"{fpath}.index",
                     f"frame index {index} out of range for {meta.num_frames} frames",
@@ -494,35 +512,18 @@ def _detections(
             dets: list[Detection] = []
             for di, det_v in enumerate(dets_list):
                 dpath = f"{fpath}.detections[{di}]"
-                det_obj = _get_obj(det_v, dpath, ctx)
+                det_obj = _obj(det_v, dpath, ctx)
                 if det_obj is None:
                     continue
                 ctx.check_keys(det_obj, dpath, _DET_KEYS)
-                for req in ("box", "score", "app_emb", "cls_emb"):
-                    if req not in det_obj:
-                        ctx.issue(f"{dpath}.{req}", "missing required field")
-                box = _parse_box(det_obj.get("box"), f"{dpath}.box", ctx)
-                score_v = det_obj.get("score")
-                if score_v is not None and not _is_num(score_v):
-                    ctx.issue(f"{dpath}.score", f"expected a number, got {score_v!r}")
-                    score_v = None
-                app = _parse_vector(det_obj.get("app_emb"), f"{dpath}.app_emb", ctx)
-                cls = _parse_vector(det_obj.get("cls_emb"), f"{dpath}.cls_emb", ctx)
-                mask = None
-                if det_obj.get("mask") is not None:
-                    mask = _parse_mask(det_obj["mask"], f"{dpath}.mask", ctx, seq_size)
-                if box is None or score_v is None or app is None or cls is None:
+                box = _field(det_obj, "box", dpath, ctx, _box)
+                score = _field(det_obj, "score", dpath, ctx, _number)
+                app = _field(det_obj, "app_emb", dpath, ctx, _vector)
+                cls = _field(det_obj, "cls_emb", dpath, ctx, _vector)
+                mask = _field(det_obj, "mask", dpath, ctx, _mask, seq_size, required=False)
+                if not in_range or box is None or score is None or app is None or cls is None:
                     continue
-                dets.append(
-                    Detection(
-                        frame_index=index,
-                        box=box,
-                        objectness=float(score_v),
-                        app_emb=app,
-                        cls_emb=cls,
-                        mask=mask,
-                    )
-                )
+                dets.append(Detection(index, box, score, app, cls, mask))
             frames.append(FrameDetections(index=index, detections=dets))
         seq = SequenceDetections(meta=meta, frames=frames)
         for msg in validate_sequence(meta, seq.all_detections()):
@@ -574,33 +575,18 @@ def tracks_from_jsonable(obj: Any, lax: bool = False) -> tuple[list[SequenceTrac
         seen_ids: set[int] = set()
         for ti, tr_v in enumerate(tracks_list):
             tpath = f"{spath}.tracks[{ti}]"
-            tr_obj = _get_obj(tr_v, tpath, ctx)
+            tr_obj = _obj(tr_v, tpath, ctx)
             if tr_obj is None:
                 continue
             ctx.check_keys(tr_obj, tpath, _TRACK_KEYS)
-            track_id = _get_int(tr_obj, "track_id", tpath, ctx, minimum=1)
+            track_id = _field(tr_obj, "track_id", tpath, ctx, _int, 1)
             if track_id is not None:
                 if track_id in seen_ids:
                     ctx.issue(f"{tpath}.track_id", f"duplicate track id {track_id}")
                 seen_ids.add(track_id)
-            category_id: int | None = None
-            if tr_obj.get("category_id") is not None:
-                cv = tr_obj["category_id"]
-                if not _is_int(cv):
-                    ctx.issue(f"{tpath}.category_id", f"expected an integer, got {cv!r}")
-                else:
-                    category_id = cv
-            score: float | None = None
-            if tr_obj.get("score") is not None:
-                sv = tr_obj["score"]
-                if not _is_num(sv) or not math.isfinite(float(sv)):
-                    ctx.issue(f"{tpath}.score", f"expected a finite number, got {sv!r}")
-                else:
-                    score = float(sv)
-            if "observations" not in tr_obj:
-                ctx.issue(f"{tpath}.observations", "missing required field")
-                continue
-            obs_list = _get_list(tr_obj["observations"], f"{tpath}.observations", ctx)
+            category_id = _field(tr_obj, "category_id", tpath, ctx, _int, required=False)
+            score = _field(tr_obj, "score", tpath, ctx, _number, True, required=False)
+            obs_list = _field(tr_obj, "observations", tpath, ctx, _list)
             if obs_list is None or track_id is None:
                 continue
             if len(obs_list) == 0:
@@ -609,17 +595,13 @@ def tracks_from_jsonable(obj: Any, lax: bool = False) -> tuple[list[SequenceTrac
             prev_frame: int | None = None
             for oi, ob_v in enumerate(obs_list):
                 opath = f"{tpath}.observations[{oi}]"
-                ob_obj = _get_obj(ob_v, opath, ctx)
+                ob_obj = _obj(ob_v, opath, ctx)
                 if ob_obj is None:
                     continue
                 ctx.check_keys(ob_obj, opath, _OBS_KEYS)
-                frame = _get_int(ob_obj, "frame", opath, ctx, minimum=0)
-                if "box" not in ob_obj:
-                    ctx.issue(f"{opath}.box", "missing required field")
-                box = _parse_box(ob_obj.get("box"), f"{opath}.box", ctx)
-                mask = None
-                if ob_obj.get("mask") is not None:
-                    mask = _parse_mask(ob_obj["mask"], f"{opath}.mask", ctx, seq_size)
+                frame = _field(ob_obj, "frame", opath, ctx, _int, 0)
+                box = _field(ob_obj, "box", opath, ctx, _box)
+                mask = _field(ob_obj, "mask", opath, ctx, _mask, seq_size, required=False)
                 if frame is None or box is None:
                     continue
                 if frame >= meta.num_frames:
@@ -634,21 +616,12 @@ def tracks_from_jsonable(obj: Any, lax: bool = False) -> tuple[list[SequenceTrac
                         "(one observation per frame)",
                     )
                 prev_frame = frame
-                # A finite sum screens all four coordinates at once.
-                if not (math.isfinite(sum(box.as_tuple())) and min(box.w, box.h) >= 0):
-                    if not all(math.isfinite(v) for v in box.as_tuple()):
-                        ctx.issue(f"{opath}.box", "box coordinates must be finite")
-                    elif box.w < 0 or box.h < 0:
-                        ctx.issue(f"{opath}.box", "box width/height must be >= 0")
+                if not all(map(math.isfinite, box.as_tuple())):
+                    ctx.issue(f"{opath}.box", "box coordinates must be finite")
+                elif box.w < 0 or box.h < 0:
+                    ctx.issue(f"{opath}.box", "box width/height must be >= 0")
                 observations.append(TrackObservation(frame=frame, box=box, mask=mask))
-            tracks.append(
-                TrackRecord(
-                    track_id=track_id,
-                    observations=observations,
-                    category_id=category_id,
-                    score=score,
-                )
-            )
+            tracks.append(TrackRecord(track_id, observations, category_id, score))
         sequences.append(SequenceTracks(meta=meta, tracks=tracks))
     return sequences, ctx.finish()
 
@@ -698,13 +671,14 @@ def tracks_from_burst(obj: Any, source: str = "$") -> tuple[list[SequenceTracks]
     warnings: list[str] = []
     sequences: list[SequenceTracks] = []
     names: set[str] = set()
+    lenient = _Ctx(lax=True)  # an issue filed here only marks a value to skip, with a warning
     for si, seq in enumerate(obj["sequences"]):
         where = f"sequences[{si}]"
         if not isinstance(seq, dict):
             warnings.append(f"{where}: not an object, skipped")
             continue
         name = seq.get("seq_name") or seq.get("name")
-        height, width = seq.get("height"), seq.get("width")
+        height, width = (_field(seq, k, where, lenient, _int, 1) for k in ("height", "width"))
         segmentations = seq.get("segmentations")
         if not isinstance(name, str) or not name:
             warnings.append(f"{where}: missing sequence name, skipped")
@@ -713,7 +687,7 @@ def tracks_from_burst(obj: Any, source: str = "$") -> tuple[list[SequenceTracks]
         if name in names:
             warnings.append(f"{where}: duplicate sequence name, skipped")
             continue
-        if not (_is_int(height) and _is_int(width) and height >= 1 and width >= 1):
+        if height is None or width is None:
             warnings.append(f"{where}: missing or invalid height/width, skipped")
             continue
         if not isinstance(segmentations, list) or not segmentations:
@@ -754,7 +728,7 @@ def tracks_from_burst(obj: Any, source: str = "$") -> tuple[list[SequenceTracks]
                     if isinstance(inner.get("counts"), str):
                         with suppress(ValueError):
                             inner["counts"] = rle_counts_from_string(inner["counts"])
-                mask = _parse_mask(inner, "", _Ctx(lax=True), (height, width))
+                mask = _mask(inner, where, _Ctx(lax=True), (height, width))
                 if mask is None:
                     warnings.append(
                         f"{where}: track {tid} frame {frame}: mask is not "
@@ -767,10 +741,9 @@ def tracks_from_burst(obj: Any, source: str = "$") -> tuple[list[SequenceTracks]
 
         tracks = []
         for tid in sorted(per_track):
-            cat = categories.get(str(tid))
-            if not _is_int(cat):
+            cat = _field(categories, str(tid), where, lenient, _int, required=False)
+            if cat is None:
                 warnings.append(f"{where}: track {tid} has no category id; left unlabeled")
-                cat = None
             tracks.append(TrackRecord(track_id=tid, observations=per_track[tid], category_id=cat))
         if not tracks:
             warnings.append(f"{where}: no usable tracks, sequence skipped")
@@ -792,30 +765,25 @@ def bank_from_jsonable(obj: Any, lax: bool = False) -> tuple[CategoryBank, list[
     entries: list[CategoryEntry] = []
     for ci, cat_v in enumerate(_root_list(obj, ctx, "categories") or ()):
         cpath = f"categories[{ci}]"
-        cat_obj = _get_obj(cat_v, cpath, ctx)
+        cat_obj = _obj(cat_v, cpath, ctx)
         if cat_obj is None:
             continue
         ctx.check_keys(cat_obj, cpath, _BANK_ENTRY_KEYS)
-        cid = _get_int(cat_obj, "id", cpath, ctx)
-        name = _get_str(cat_obj, "name", cpath, ctx)
-        split = _get_str(cat_obj, "split", cpath, ctx)
+        cid = _field(cat_obj, "id", cpath, ctx, _int)
+        name = _field(cat_obj, "name", cpath, ctx, _str)
+        split = _field(cat_obj, "split", cpath, ctx, _str)
         if split is not None and split not in SPLITS:
             ctx.issue(f"{cpath}.split", f"expected one of {SPLITS}, got {split!r}")
             split = None
-        proto = None
-        if cat_obj.get("prototype") is not None:
-            proto = _parse_vector(cat_obj["prototype"], f"{cpath}.prototype", ctx)
+        proto = _field(cat_obj, "prototype", cpath, ctx, _vector, required=False)
         if cid is None or name is None or split is None:
             continue
         entries.append(CategoryEntry(category_id=cid, name=name, split=split, prototype=proto))
-    if ctx.issues:
-        raise SchemaError(ctx.issues)
+    warnings = ctx.finish()
     try:
-        bank = CategoryBank(entries)
+        return CategoryBank(entries), warnings
     except ValueError as exc:
         raise SchemaError([f"categories: {exc}"]) from exc
-    warnings = ctx.finish()
-    return bank, warnings
 
 
 def bank_to_jsonable(bank: CategoryBank) -> dict:

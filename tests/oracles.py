@@ -12,6 +12,9 @@ paint rectangle masks on a full grid.
 The JSON references at the end are the loaders, validators and canonical
 writer in their per-element form, before the whole-list screens: every
 value is type-checked, every run and every detection walked one at a time.
+They take only the containers and ``SchemaError`` from ``letrack.io``; each
+field helper they use is their own copy, so they never share a reading with
+the code they judge.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -33,12 +36,6 @@ from letrack.io import (
     SequenceTracks,
     TrackObservation,
     TrackRecord,
-    _get_int,
-    _get_list,
-    _get_obj,
-    _is_int,
-    _is_num,
-    _sequences,
 )
 from letrack.maskops import RleMask, box_iou, rle_encode
 from letrack.rng import SplitMix64
@@ -505,6 +502,115 @@ class _Ctx:
         return self.warnings
 
 
+def _is_num(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _get_obj(v: Any, path: str, ctx: _Ctx) -> dict | None:
+    if not isinstance(v, dict):
+        ctx.issue(path, f"expected an object, got {type(v).__name__}")
+        return None
+    return v
+
+
+def _get_list(v: Any, path: str, ctx: _Ctx) -> list | None:
+    if not isinstance(v, list):
+        ctx.issue(path, f"expected an array, got {type(v).__name__}")
+        return None
+    return v
+
+
+def _get_int(obj: dict, key: str, path: str, ctx: _Ctx, minimum: int | None = None) -> int | None:
+    if key not in obj:
+        ctx.issue(f"{path}.{key}", "missing required field")
+        return None
+    v = obj[key]
+    if not _is_int(v):
+        ctx.issue(f"{path}.{key}", f"expected an integer, got {v!r}")
+        return None
+    if minimum is not None and v < minimum:
+        ctx.issue(f"{path}.{key}", f"expected an integer >= {minimum}, got {v}")
+        return None
+    return v
+
+
+def _get_str(obj: dict, key: str, path: str, ctx: _Ctx) -> str | None:
+    if key not in obj:
+        ctx.issue(f"{path}.{key}", "missing required field")
+        return None
+    v = obj[key]
+    if not isinstance(v, str):
+        ctx.issue(f"{path}.{key}", f"expected a string, got {type(v).__name__}")
+        return None
+    return v
+
+
+def _parse_meta(obj: dict, path: str, ctx: _Ctx) -> SequenceMeta | None:
+    name = _get_str(obj, "name", path, ctx)
+    height = _get_int(obj, "height", path, ctx, minimum=1)
+    width = _get_int(obj, "width", path, ctx, minimum=1)
+    num_frames = _get_int(obj, "num_frames", path, ctx, minimum=1)
+    if None in (name, height, width, num_frames):
+        return None
+    return SequenceMeta(name=name, height=height, width=width, num_frames=num_frames)
+
+
+def _root_list(obj: Any, ctx: _Ctx, key: str) -> list | None:
+    """The array under ``key`` of a root object whose only field is ``key``;
+    None, with the issue filed on ``ctx``, when either is malformed."""
+    root = _get_obj(obj, "$", ctx)
+    if root is None:
+        return None
+    ctx.check_keys(root, "$", frozenset({key}))
+    if key not in root:
+        ctx.issue(key, "missing required field")
+        return None
+    return _get_list(root[key], key, ctx)
+
+
+def _sequences(obj: Any, ctx: _Ctx, body_key: str) -> Iterator[tuple[str, SequenceMeta, list]]:
+    """Yield (path, meta, body) for each sequence whose shared fields parse.
+
+    Checks what every sequence document shares, filing issues on ``ctx``:
+    the root object, the ``sequences`` array, each sequence's unknown keys,
+    its meta, its ``body_key`` array and duplicate sequence names.
+    """
+    seq_list = _root_list(obj, ctx, "sequences")
+    if seq_list is None:
+        return
+    known = frozenset({"name", "height", "width", "num_frames", body_key})
+    names: set[str] = set()
+    for si, seq_v in enumerate(seq_list):
+        path = f"sequences[{si}]"
+        seq_obj = _get_obj(seq_v, path, ctx)
+        if seq_obj is None:
+            continue
+        ctx.check_keys(seq_obj, path, known)
+        meta = _parse_meta(seq_obj, path, ctx)
+        if body_key not in seq_obj:
+            ctx.issue(f"{path}.{body_key}", "missing required field")
+            continue
+        body = _get_list(seq_obj[body_key], f"{path}.{body_key}", ctx)
+        if meta is None or body is None:
+            continue
+        if meta.name in names:
+            ctx.issue(f"{path}.name", f"duplicate sequence name {meta.name!r}")
+        names.add(meta.name)
+        yield path, meta, body
+
+
+def _missing(obj: dict, key: str, path: str, ctx: _Ctx) -> bool:
+    """File a missing required field; such a field gets no second issue."""
+    if key in obj:
+        return False
+    ctx.issue(f"{path}.{key}", "missing required field")
+    return True
+
+
 def _parse_box(v: Any, path: str, ctx: _Ctx) -> BBox | None:
     if not (isinstance(v, list) and len(v) == 4 and all(_is_num(x) for x in v)):
         ctx.issue(path, "expected 4 numbers")
@@ -560,12 +666,13 @@ def detections_from_jsonable_reference(
                 continue
             ctx.check_keys(fr_obj, fpath, ("index", "detections"))
             index = _get_int(fr_obj, "index", fpath, ctx, minimum=0)
-            dets_list = _get_list(fr_obj.get("detections"), f"{fpath}.detections", ctx)
-            if "detections" not in fr_obj:
-                ctx.issue(f"{fpath}.detections", "missing required field")
+            dets_list = None
+            if not _missing(fr_obj, "detections", fpath, ctx):
+                dets_list = _get_list(fr_obj["detections"], f"{fpath}.detections", ctx)
             if index is None or dets_list is None:
                 continue
-            if index >= meta.num_frames:
+            in_range = index < meta.num_frames
+            if not in_range:
                 ctx.issue(
                     f"{fpath}.index",
                     f"frame index {index} out of range for {meta.num_frames} frames",
@@ -580,20 +687,22 @@ def detections_from_jsonable_reference(
                 if det_obj is None:
                     continue
                 ctx.check_keys(det_obj, dpath, ("box", "score", "mask", "app_emb", "cls_emb"))
-                for req in ("box", "score", "app_emb", "cls_emb"):
-                    if req not in det_obj:
-                        ctx.issue(f"{dpath}.{req}", "missing required field")
-                box = _parse_box(det_obj.get("box"), f"{dpath}.box", ctx)
-                score_v = det_obj.get("score")
-                if score_v is not None and not _is_num(score_v):
-                    ctx.issue(f"{dpath}.score", f"expected a number, got {score_v!r}")
-                    score_v = None
-                app = _parse_vector(det_obj.get("app_emb"), f"{dpath}.app_emb", ctx)
-                cls = _parse_vector(det_obj.get("cls_emb"), f"{dpath}.cls_emb", ctx)
+                box = score_v = app = cls = None
+                if not _missing(det_obj, "box", dpath, ctx):
+                    box = _parse_box(det_obj["box"], f"{dpath}.box", ctx)
+                if not _missing(det_obj, "score", dpath, ctx):
+                    score_v = det_obj["score"]
+                    if not _is_num(score_v):
+                        ctx.issue(f"{dpath}.score", f"expected a number, got {score_v!r}")
+                        score_v = None
+                if not _missing(det_obj, "app_emb", dpath, ctx):
+                    app = _parse_vector(det_obj["app_emb"], f"{dpath}.app_emb", ctx)
+                if not _missing(det_obj, "cls_emb", dpath, ctx):
+                    cls = _parse_vector(det_obj["cls_emb"], f"{dpath}.cls_emb", ctx)
                 mask = None
                 if det_obj.get("mask") is not None:
                     mask = _parse_mask(det_obj["mask"], f"{dpath}.mask", ctx, seq_size)
-                if box is None or score_v is None or app is None or cls is None:
+                if not in_range or box is None or score_v is None or app is None or cls is None:
                     continue
                 dets.append(
                     Detection(
@@ -664,9 +773,9 @@ def tracks_from_jsonable_reference(
                     continue
                 ctx.check_keys(ob_obj, opath, ("frame", "box", "mask"))
                 frame = _get_int(ob_obj, "frame", opath, ctx, minimum=0)
-                if "box" not in ob_obj:
-                    ctx.issue(f"{opath}.box", "missing required field")
-                box = _parse_box(ob_obj.get("box"), f"{opath}.box", ctx)
+                box = None
+                if not _missing(ob_obj, "box", opath, ctx):
+                    box = _parse_box(ob_obj["box"], f"{opath}.box", ctx)
                 mask = None
                 if ob_obj.get("mask") is not None:
                     mask = _parse_mask(ob_obj["mask"], f"{opath}.mask", ctx, seq_size)

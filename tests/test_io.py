@@ -2,6 +2,9 @@ import copy
 import json
 import math
 import os
+import tempfile
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from letrack.cli import main
 from letrack.core import BBox, Detection, SequenceMeta, validate_sequence
 from letrack.io import (
     ConfigError,
@@ -18,6 +22,7 @@ from letrack.io import (
     SequenceTracks,
     TrackObservation,
     TrackRecord,
+    bank_from_jsonable,
     bank_to_jsonable,
     detections_from_jsonable,
     detections_to_jsonable,
@@ -527,7 +532,9 @@ OBS = f"{SEQ}.tracks[0].observations"
 
 # (kind, corrupt, issues): corrupt edits a valid document in place or returns
 # a new root.  A null body is a wrong type like any other non-array, and a
-# mask of the wrong size is reported once, against the mask.
+# mask of the wrong size is reported once, against the mask.  Each fault is
+# filed once: a missing field only as missing, in field order, and a frame
+# index out of range only against the frame, whose detections build none.
 CORRUPTED = [
     pytest.param("detections", lambda d: [d], ["$: expected an object, got list"], id="root-array"),
     pytest.param(
@@ -591,7 +598,6 @@ CORRUPTED = [
             f"{SEQ}.frames[2].extra: unknown field",
             f"{SEQ}.frames[2].index: missing required field",
             f"{SEQ}.frames[3]: expected an object, got str",
-            f"{SEQ}: detections[0]: frame_index out of range, got 2 for 2 frames",
         ],
         id="frames",
     ),
@@ -612,12 +618,17 @@ CORRUPTED = [
         _bad_detection_fields,
         [
             f"{DET}.color: unknown field",
-            f"{DET}.cls_emb: missing required field",
             f"{DET}.score: expected a number, got 'x'",
             f"{DET}.app_emb: expected a non-empty array of numbers",
-            f"{DET}.cls_emb: expected a non-empty array of numbers",
+            f"{DET}.cls_emb: missing required field",
         ],
         id="detection-fields",
+    ),
+    pytest.param(
+        "detections",
+        lambda d: _seq0(d)["frames"][0]["detections"][0].update(score=None),
+        [f"{DET}.score: expected a number, got None"],
+        id="detection-score-null",
     ),
     pytest.param(
         "detections",
@@ -653,7 +664,6 @@ CORRUPTED = [
         [
             f"{OBS}[0].extra: unknown field",
             f"{OBS}[0].box: missing required field",
-            f"{OBS}[0].box: expected 4 numbers",
             f"{OBS}[1].box: expected 4 numbers",
             f"{OBS}[1].mask.counts: expected an array of integers",
         ],
@@ -676,13 +686,40 @@ def test_corrupted_document_issue_list(kind, corrupt, issues):
     assert exc.value.issues == issues
 
 
+def test_null_optional_fields_read_as_absent():
+    dets, tracks = valid_detections_doc(), valid_tracks_doc()
+    _seq0(dets)["frames"][0]["detections"][0]["mask"] = None
+    _seq0(tracks)["tracks"][0].update(category_id=None, score=None)
+    _obs(tracks, 0)["mask"] = None
+    bank = bank_to_jsonable(two_split_bank())
+    bank["categories"][1]["prototype"] = None
+    (seq,), _ = detections_from_jsonable(dets)
+    assert seq.frames[0].detections[0].mask is None
+    (seq,), _ = tracks_from_jsonable(tracks)
+    track = seq.tracks[0]
+    assert (track.category_id, track.score, track.observations[0].mask) == (None, None, None)
+    loaded, _ = bank_from_jsonable(bank)
+    assert loaded.get(2).prototype is None
+
+
+@pytest.mark.parametrize(
+    "score", [json.loads("1e999"), 10**400, -(10**400)], ids=["inf", "1e400", "-1e400"]
+)
+def test_track_score_must_be_a_finite_double(score):
+    doc = valid_tracks_doc()
+    _seq0(doc)["tracks"][0]["score"] = score
+    with pytest.raises(SchemaError) as exc:
+        tracks_from_jsonable(doc)
+    assert exc.value.issues == [f"{SEQ}.tracks[0].score: expected a finite number, got {score!r}"]
+
+
 # ---------------------------------------------------------------------------
 # whole-list screens against the per-element references
 
 
-def _synth_docs(seed: int) -> tuple[dict, dict]:
-    """Small valid detections and gt documents, as parsed from canonical text
-    (whole floats come back as ints)."""
+def _synth_docs(seed: int) -> tuple[dict, dict, dict]:
+    """Small valid detections, gt and bank documents, as parsed from
+    canonical text (whole floats come back as ints)."""
     res = generate(
         SynthConfig(
             seed=seed, num_frames=3, num_tracks=3, frame_height=8, frame_width=8,
@@ -692,6 +729,7 @@ def _synth_docs(seed: int) -> tuple[dict, dict]:
     return (
         json.loads(dumps_canonical(detections_to_jsonable(res.detections))),
         json.loads(dumps_canonical(tracks_to_jsonable(res.gt))),
+        json.loads(dumps_canonical(bank_to_jsonable(res.bank))),
     )
 
 
@@ -758,7 +796,7 @@ def _outcome(loader, to_jsonable, doc, lax):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_loaders_match_the_per_element_reference(data):
-    dets_doc, tracks_doc = _synth_docs(data.draw(st.integers(0, 30)))
+    dets_doc, tracks_doc, _ = _synth_docs(data.draw(st.integers(0, 30)))
     tracks = data.draw(st.booleans())
     doc = tracks_doc if tracks else dets_doc
     for _ in range(data.draw(st.integers(1, 3))):
@@ -773,6 +811,48 @@ def test_loaders_match_the_per_element_reference(data):
     got = _outcome(fast, to_jsonable, doc, lax)
     assert doc == before  # not mutated (a NaN compares equal to itself by identity)
     assert got == _outcome(reference, to_jsonable, doc, lax)
+
+
+_DOUBLE_FIELDS = frozenset({"box", "score", "app_emb", "cls_emb", "prototype"})
+
+
+def _double_slots(v, path: str = ""):
+    """(container, key, field path) for every number a loader reads as a
+    double, plus the optional ``score`` of each track."""
+    if isinstance(v, list):
+        for i, x in enumerate(v):
+            yield from _double_slots(x, f"{path}[{i}]")
+    elif isinstance(v, dict):
+        if "track_id" in v and "score" not in v:
+            yield v, "score", f"{path}.score"
+        for key, x in v.items():
+            kpath = f"{path}.{key}" if path else key
+            if key not in _DOUBLE_FIELDS:
+                yield from _double_slots(x, kpath)
+            elif isinstance(x, list):
+                yield from ((x, i, kpath) for i in range(len(x)))
+            else:
+                yield v, key, kpath
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_number_beyond_double_range_is_one_issue_at_its_field(data):
+    kinds = ("detections", "tracks", "bank")
+    kind = data.draw(st.sampled_from(kinds))
+    doc = dict(zip(kinds, _synth_docs(data.draw(st.integers(0, 30)))))[kind]
+    container, key, path = data.draw(st.sampled_from(list(_double_slots(doc))))
+    container[key] = data.draw(st.sampled_from([10**400, -(10**400)]))
+    err = StringIO()
+    with tempfile.TemporaryDirectory() as d, redirect_stderr(err):
+        f = os.path.join(d, "doc.json")
+        with open(f, "w") as fh:
+            json.dump(doc, fh)
+        rc = main(["validate", "--file", f, "--kind", kind])
+    assert rc == 1
+    assert "Traceback" not in err.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {path}: ")
 
 
 def _emb_shape(dim):
@@ -887,7 +967,7 @@ def test_dumps_canonical_rejects_non_finite_like_the_reference(tree, floats, bad
 
 
 def test_detections_from_jsonable_leaves_its_input_unchanged():
-    doc, _ = _synth_docs(1)
+    doc, _, _ = _synth_docs(1)
     before = copy.deepcopy(doc)
     detections_from_jsonable(doc)
     assert doc == before
