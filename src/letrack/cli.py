@@ -42,7 +42,7 @@ from .io import (
     tracks_to_jsonable,
     write_json_files,
 )
-from .metrics import DEFAULT_ALPHAS, EvalConfig, evaluate
+from .metrics import DEFAULT_ALPHAS, GEOMETRIES, MODES, EvalConfig, evaluate
 from .parallel import map_ordered
 from .synth import SynthConfig, generate
 
@@ -194,8 +194,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="ground-truth tracks JSON")
     p.add_argument("--pred", required=True, help="predicted tracks JSON")
     p.add_argument("--bank", required=True, help="category bank JSON (defines the splits)")
-    p.add_argument("--mode", choices=("closed", "open"), default="closed")
-    p.add_argument("--geometry", choices=("mask", "box"), default="mask")
+    p.add_argument("--mode", choices=MODES, default="closed")
+    p.add_argument("--geometry", choices=GEOMETRIES, default="mask")
     p.add_argument("--alphas", help="comma-separated overlap thresholds in (0, 1)")
     p.add_argument("--report", help="also write the full report JSON here")
     p.add_argument("--lax", action="store_true", help="downgrade unknown fields to warnings")

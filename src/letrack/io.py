@@ -288,6 +288,22 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# Quotes are cut to this many characters.  An int of over 4 bits per such digit
+# (2**4 > 10) is described by its size, never turned into (quadratic) text.
+_QUOTE_CHARS = 500
+
+
+def _quote(v: Any) -> str:
+    """``repr(v)`` for a message, cut short past ``_QUOTE_CHARS`` characters."""
+    if _is_int(v) and v.bit_length() > 4 * _QUOTE_CHARS:
+        return f"{'a negative' if v < 0 else 'an'} integer of {v.bit_length()} bits"
+    try:
+        text = repr(v)
+    except ValueError:  # an array or object holding an int past Python's 4,300 digits
+        text = f"a {type(v).__name__} holding a huge integer"
+    return text if len(text) <= _QUOTE_CHARS else text[:_QUOTE_CHARS] + "..."
+
+
 def _all_int(v: list) -> bool:
     return set(map(type, v)) <= _INT or all(map(_is_int, v))
 
@@ -349,10 +365,10 @@ _obj, _list, _str = _typed(dict, "an object"), _typed(list, "an array"), _typed(
 
 def _int(v: Any, path: str, ctx: _Ctx, minimum: int | None = None) -> int | None:
     if not _is_int(v):
-        ctx.issue(path, f"expected an integer, got {v!r}")
+        ctx.issue(path, f"expected an integer, got {_quote(v)}")
         return None
     if minimum is not None and v < minimum:
-        ctx.issue(path, f"expected an integer >= {minimum}, got {v}")
+        ctx.issue(path, f"expected an integer >= {minimum}, got {_quote(v)}")
         return None
     return v
 
@@ -360,7 +376,7 @@ def _int(v: Any, path: str, ctx: _Ctx, minimum: int | None = None) -> int | None
 def _number(v: Any, path: str, ctx: _Ctx, finite: bool = False) -> float | None:
     x = _doubles([v])
     if x is None or (finite and not math.isfinite(x[0])):
-        ctx.issue(path, f"expected a {'finite ' if finite else ''}number, got {v!r}")
+        ctx.issue(path, f"expected a {'finite ' if finite else ''}number, got {_quote(v)}")
         return None
     return x[0]
 
@@ -537,22 +553,26 @@ def _floats(v: np.ndarray) -> list[float]:
     return np.asarray(v, dtype=np.float64).tolist()
 
 
+def _shape_to_jsonable(box: BBox, mask: RleMask | None, **item: Any) -> dict:
+    """The record ``item``, a fresh dict, plus the ``box`` and ``mask`` every record has."""
+    item["box"] = [box.x, box.y, box.w, box.h]
+    if mask is not None:
+        item["mask"] = {"size": list(mask.size), "counts": list(mask.counts)}
+    return item
+
+
 def detections_to_jsonable(sequences: list[SequenceDetections]) -> dict:
     out_seqs = []
     for seq in sequences:
         frames = []
         for fr in seq.frames:
-            dets = []
-            for d in fr.detections:
-                item: dict[str, Any] = {
-                    "box": [d.box.x, d.box.y, d.box.w, d.box.h],
-                    "score": d.objectness,
-                    "app_emb": _floats(d.app_emb),
-                    "cls_emb": _floats(d.cls_emb),
-                }
-                if d.mask is not None:
-                    item["mask"] = {"size": list(d.mask.size), "counts": list(d.mask.counts)}
-                dets.append(item)
+            dets = [
+                _shape_to_jsonable(
+                    d.box, d.mask, score=d.objectness, app_emb=_floats(d.app_emb),
+                    cls_emb=_floats(d.cls_emb),
+                )
+                for d in fr.detections
+            ]
             frames.append({"index": fr.index, "detections": dets})
         out_seqs.append(_seq_to_jsonable(seq.meta, "frames", frames))
     return {"sequences": out_seqs}
@@ -633,7 +653,9 @@ def tracks_to_jsonable(sequences: list[SequenceTracks]) -> dict:
         for tr in seq.tracks:
             item: dict[str, Any] = {
                 "track_id": tr.track_id,
-                "observations": [_obs_to_jsonable(ob) for ob in tr.observations],
+                "observations": [
+                    _shape_to_jsonable(ob.box, ob.mask, frame=ob.frame) for ob in tr.observations
+                ],
             }
             if tr.category_id is not None:
                 item["category_id"] = tr.category_id
@@ -642,16 +664,6 @@ def tracks_to_jsonable(sequences: list[SequenceTracks]) -> dict:
             tracks.append(item)
         out_seqs.append(_seq_to_jsonable(seq.meta, "tracks", tracks))
     return {"sequences": out_seqs}
-
-
-def _obs_to_jsonable(ob: TrackObservation) -> dict:
-    item: dict[str, Any] = {
-        "frame": ob.frame,
-        "box": [ob.box.x, ob.box.y, ob.box.w, ob.box.h],
-    }
-    if ob.mask is not None:
-        item["mask"] = {"size": list(ob.mask.size), "counts": list(ob.mask.counts)}
-    return item
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +785,7 @@ def bank_from_jsonable(obj: Any, lax: bool = False) -> tuple[CategoryBank, list[
         name = _field(cat_obj, "name", cpath, ctx, _str)
         split = _field(cat_obj, "split", cpath, ctx, _str)
         if split is not None and split not in SPLITS:
-            ctx.issue(f"{cpath}.split", f"expected one of {SPLITS}, got {split!r}")
+            ctx.issue(f"{cpath}.split", f"expected one of {SPLITS}, got {_quote(split)}")
             split = None
         proto = _field(cat_obj, "prototype", cpath, ctx, _vector, required=False)
         if cid is None or name is None or split is None:

@@ -14,10 +14,12 @@ detections FNs, leftover predictions FPs.
 
 A sequence's pool is flat: one entry per (frame, gt, pred) cell whose
 similarity is > 0, the only cells any alpha in (0, 1) can admit, each with
-the id of its (gt, pred) pair.  Pass one is then one ``np.bincount`` over
-the pair ids of the cells that reach alpha, and pass two one
-``assign_cells`` call for all frames at once, rows keyed by (frame, gt) and
-columns by (frame, pred), so frames stay independent problems.
+the id of its (gt, pred) pair.  It is built from one frame index per side,
+frame -> that frame's (track, observation) pairs, over the frames both
+indexes hold.  Pass one is then one ``np.bincount`` over the pair ids of
+the cells that reach alpha, and pass two one ``assign_cells`` call for all
+frames at once, rows keyed by (frame, gt) and columns by (frame, pred), so
+frames stay independent problems.
 
 Association accuracy averages, over TPs, A(c) = TPA / (TPA + FNA + FPA).
 Every gt detection is a TP or an FN and every prediction a TP or an FP, so
@@ -49,7 +51,7 @@ import numpy as np
 
 from .assignment import assign_cells
 from .classification import SPLITS, CategoryBank
-from .io import SchemaError, SequenceTracks, TrackRecord
+from .io import SchemaError, SequenceTracks, TrackObservation, TrackRecord
 from .maskops import box_iou_matrix, mask_iou_matrix
 from .parallel import map_ordered
 
@@ -70,19 +72,15 @@ DEFAULT_ALPHAS: tuple[float, ...] = tuple(k / 20 for k in range(1, 20))
 # Weight of the per-frame similarity tie-breaker in the pass-two objective.
 TIE_BREAK_DIVISOR = 1000.0
 
-MODES = ("closed", "open")
+# Per mode: the combined score, the detection score and its table header.
+_NAMES = {"closed": ("HOTA", "DetA", "DETA"), "open": ("OWTA", "DetRe", "DETRe")}
+MODES = tuple(_NAMES)
 GEOMETRIES = ("mask", "box")
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
     if value not in choices:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
-
-
-def _check_alpha(alpha: float) -> None:
-    # NaN fails the comparison too.
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alphas must lie strictly inside (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,9 @@ class EvalConfig:
             raise ValueError("alphas must not be empty")
         prev = 0.0
         for a in self.alphas:
-            _check_alpha(a)
+            # NaN fails the comparison too.
+            if not (0.0 < a < 1.0):
+                raise ValueError(f"alphas must lie strictly inside (0, 1), got {a}")
             if a <= prev:
                 raise ValueError("alphas must be strictly increasing")
             prev = a
@@ -112,12 +112,10 @@ class EvalConfig:
 class _PoolData:
     """Precomputed geometry for the gt and pred tracks of one sequence."""
 
-    gt_ids: list[int]
-    pred_ids: list[int]
+    gt_tracks: list[TrackRecord]  # by track id; the indices below refer to these
+    pred_tracks: list[TrackRecord]
     gt_len: np.ndarray  # observations per gt track
     pred_len: np.ndarray
-    gt_total: int
-    pred_total: int
     # One entry per (frame, gt, pred) cell with similarity > 0, in frame
     # order and row-major within a frame; ``pair`` numbers the distinct
     # (gt, pred) pairs in row-major order.  Every alpha is > 0, so no other
@@ -130,17 +128,16 @@ class _PoolData:
     box_fallback_pairs: int
 
 
-def _observations_by_frame(track: TrackRecord) -> dict[int, Any]:
-    obs = {}
-    for ob in track.observations:
-        if ob.frame in obs:
-            raise SchemaError(
-                [f"track {track.track_id}: duplicate observation for frame {ob.frame}"]
-            )
-        obs[ob.frame] = ob
-    if not obs:
-        raise SchemaError([f"track {track.track_id}: no observations"])
-    return obs
+def _track_fault(track: TrackRecord) -> Optional[str]:
+    """Why ``track`` cannot be scored, or None: it needs observations, on
+    distinct frames."""
+    frames = [ob.frame for ob in track.observations]
+    if not frames:
+        return "has no observations"
+    if len(set(frames)) < len(frames):
+        dups = sorted(f for f, n in Counter(frames).items() if n > 1)
+        return "has duplicate observations for frame(s) " + ", ".join(map(str, dups))
+    return None
 
 
 def _build_pool(
@@ -151,38 +148,32 @@ def _build_pool(
 ) -> _PoolData:
     """Similarity of every (gt, pred) pair in each frame where both are present.
 
+    Takes valid tracks (see ``_track_fault``) and sorts them by track id.
     Only the cells with similarity > 0 are kept, as flat arrays.  With
-    ``same_category`` a pair whose category ids differ gets similarity
-    0, below every alpha, so it never matches, and it is not counted as a
-    box fallback.
+    ``same_category`` a pair whose category ids differ gets similarity 0,
+    below every alpha, so it never matches, nor counts as a box fallback.
     """
-    _check_choice("geometry", geometry, GEOMETRIES)
     gt_tracks = sorted(gt_tracks, key=lambda t: t.track_id)
     pred_tracks = sorted(pred_tracks, key=lambda t: t.track_id)
-    gt_obs = [_observations_by_frame(t) for t in gt_tracks]
-    pred_obs = [_observations_by_frame(t) for t in pred_tracks]
     if same_category:
         gt_cat = np.array([t.category_id for t in gt_tracks], dtype=np.int64)
         pred_cat = np.array([t.category_id for t in pred_tracks], dtype=np.int64)
-
-    frame_set: set[int] = set()
-    for obs in gt_obs:
-        frame_set.update(obs)
-    for obs in pred_obs:
-        frame_set.update(obs)
+    # One frame index per side: frame -> [(track index, observation)].
+    gt_index: dict[int, list[tuple[int, TrackObservation]]] = {}
+    pred_index: dict[int, list[tuple[int, TrackObservation]]] = {}
+    for tracks, index in ((gt_tracks, gt_index), (pred_tracks, pred_index)):
+        for i, t in enumerate(tracks):
+            for ob in t.observations:
+                index.setdefault(ob.frame, []).append((i, ob))
 
     # An empty first part fixes the dtypes when no cell is kept.
     parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     fallback = 0
-    for frame in sorted(frame_set):
-        g_idx = [i for i, obs in enumerate(gt_obs) if frame in obs]
-        p_idx = [j for j, obs in enumerate(pred_obs) if frame in obs]
-        if not g_idx or not p_idx:
-            continue
+    for frame in sorted(gt_index.keys() & pred_index.keys()):
+        g_idx, g_ob = zip(*gt_index[frame])
+        p_idx, p_ob = zip(*pred_index[frame])
         g_arr = np.asarray(g_idx, np.int64)
         p_arr = np.asarray(p_idx, np.int64)
-        g_ob = [gt_obs[i][frame] for i in g_idx]
-        p_ob = [pred_obs[j][frame] for j in p_idx]
         sim = box_iou_matrix([ob.box for ob in g_ob], [ob.box for ob in p_ob])
         same = gt_cat[g_arr][:, None] == pred_cat[p_arr] if same_category else np.True_
         if geometry == "mask":
@@ -199,12 +190,10 @@ def _build_pool(
     frame_of, g, p, sim = (np.concatenate(col) for col in zip(*parts))
     _, pair = np.unique(g * len(pred_tracks) + p, return_inverse=True)
     return _PoolData(
-        gt_ids=[t.track_id for t in gt_tracks],
-        pred_ids=[t.track_id for t in pred_tracks],
-        gt_len=np.array([len(o) for o in gt_obs], dtype=np.int64),
-        pred_len=np.array([len(o) for o in pred_obs], dtype=np.int64),
-        gt_total=int(sum(len(o) for o in gt_obs)),
-        pred_total=int(sum(len(o) for o in pred_obs)),
+        gt_tracks=gt_tracks,
+        pred_tracks=pred_tracks,
+        gt_len=np.array([len(t.observations) for t in gt_tracks], dtype=np.int64),
+        pred_len=np.array([len(t.observations) for t in pred_tracks], dtype=np.int64),
         frame=frame_of,
         gt=g,
         pred=p,
@@ -229,8 +218,8 @@ def _match(pool: _PoolData, alpha: float) -> tuple[np.ndarray, ...]:
     # Pass two: every frame's assignment in one call, rows keyed by
     # (frame, gt) and columns by (frame, pred).
     take = assign_cells(
-        frame * len(pool.gt_ids) + g,
-        frame * len(pool.pred_ids) + p,
+        frame * len(pool.gt_len) + g,
+        frame * len(pool.pred_len) + p,
         a_glob + sim / TIE_BREAK_DIVISOR,
     )
     return frame[take], g[take], p[take], sim[take]
@@ -248,7 +237,7 @@ def _group_sums(
     _, g, p, s = matches
     tp = np.bincount(groups[g], minlength=n_groups)
     loc = np.bincount(groups[g], weights=s, minlength=n_groups)
-    n_pred = len(pool.pred_ids)
+    n_pred = len(pool.pred_len)
     pair, m = np.unique(g * n_pred + p, return_counts=True)
     gi, pj = np.divmod(pair, n_pred)
     terms = m * (m / (pool.gt_len[gi] + pool.pred_len[pj] - m))
@@ -265,6 +254,20 @@ def _div(num: Any, den: Any) -> np.ndarray:
 # public single-pool operations
 
 
+def _single_pool(
+    gt_tracks: list[TrackRecord], pred_tracks: list[TrackRecord], alpha: float, geometry: str,
+    mode: str = "closed",
+) -> _PoolData:
+    """Check the arguments as ``EvalConfig`` does and every track, listing all
+    faulty tracks in one SchemaError; then build the pool."""
+    EvalConfig(alphas=(alpha,), mode=mode, geometry=geometry)
+    tracks = [*gt_tracks, *pred_tracks]
+    issues = [f"track {t.track_id} {f}" for t in tracks if (f := _track_fault(t))]
+    if issues:
+        raise SchemaError(issues)
+    return _build_pool(gt_tracks, pred_tracks, geometry)
+
+
 def match_frames(
     gt_tracks: list[TrackRecord],
     pred_tracks: list[TrackRecord],
@@ -276,13 +279,14 @@ def match_frames(
     Returns (per-frame TP matches as {frame: [(gt_id, pred_id), ...]},
     FN count, FP count).
     """
-    _check_alpha(alpha)
-    pool = _build_pool(gt_tracks, pred_tracks, geometry)
+    pool = _single_pool(gt_tracks, pred_tracks, alpha, geometry)
     frames, g, p, _ = _match(pool, alpha)
     matches: dict[int, list[tuple[int, int]]] = {}
     for frame, gi, pj in zip(frames.tolist(), g.tolist(), p.tolist()):
-        matches.setdefault(frame, []).append((pool.gt_ids[gi], pool.pred_ids[pj]))
-    return matches, pool.gt_total - len(g), pool.pred_total - len(g)
+        matches.setdefault(frame, []).append(
+            (pool.gt_tracks[gi].track_id, pool.pred_tracks[pj].track_id)
+        )
+    return matches, int(pool.gt_len.sum()) - len(g), int(pool.pred_len.sum()) - len(g)
 
 
 def hota_alpha(
@@ -297,13 +301,11 @@ def hota_alpha(
     Returns (DetA, AssA, HOTA_alpha) in closed mode and
     (DetRe, AssA, OWTA_alpha) in open mode.
     """
-    _check_choice("mode", mode, MODES)
-    _check_alpha(alpha)
-    pool = _build_pool(gt_tracks, pred_tracks, geometry)
-    one_group = np.zeros(len(pool.gt_ids), dtype=np.int64)
+    pool = _single_pool(gt_tracks, pred_tracks, alpha, geometry, mode)
+    one_group = np.zeros(len(pool.gt_len), dtype=np.int64)
     tp, ass, _ = _group_sums(pool, _match(pool, alpha), one_group, 1)
     # TP + FN is every gt detection; closed mode adds the FPs.
-    den = pool.gt_total + (pool.pred_total - tp if mode == "closed" else 0)
+    den = pool.gt_len.sum() + (pool.pred_len.sum() - tp if mode == "closed" else 0)
     det = float(_div(tp, den)[0])
     ass = float(_div(ass, tp)[0])
     return det, ass, math.sqrt(det * ass)
@@ -344,23 +346,16 @@ class MetricsReport:
     warnings: list[str] = field(default_factory=list)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def combined_name(self) -> str:
-        return "HOTA" if self.mode == "closed" else "OWTA"
-
-    @property
-    def det_name(self) -> str:
-        return "DetA" if self.mode == "closed" else "DetRe"
-
     def to_jsonable(self) -> dict:
+        combined, det, _ = _NAMES[self.mode]
         splits_out: dict[str, Any] = {}
         for name, s in self.splits.items():
             if s is None:
                 splits_out[name] = None
                 continue
             entry: dict[str, Any] = {
-                self.combined_name: s.combined,
-                self.det_name: s.det,
+                combined: s.combined,
+                det: s.det,
                 "AssA": s.ass,
                 "per_alpha": {k: list(v) for k, v in s.per_alpha.items()},
                 "counts": {
@@ -397,20 +392,17 @@ class MetricsReport:
 
     def format_table(self, row_label: str = "pred") -> str:
         """One-row score table: combined/det/AssA for all/com/unc, x100."""
-        headers = []
-        for split in ("all", "com", "unc"):
-            headers += [
-                f"{self.combined_name}{split}",
-                f"{'DETA' if self.mode == 'closed' else 'DETRe'}{split}",
-                f"AssA{split}",
-            ]
-        cells = []
-        for split in ("all", "common", "uncommon"):
+        combined, _, det = _NAMES[self.mode]
+        headers, cells, locs = [], [], []
+        for split, short in zip(("all", "common", "uncommon"), ("all", "com", "unc")):
+            headers += [f"{combined}{short}", f"{det}{short}", f"AssA{short}"]
             s = self.splits.get(split)
             if s is None:
                 cells += ["-", "-", "-"]
             else:
                 cells += [f"{100 * s.combined:.1f}", f"{100 * s.det:.1f}", f"{100 * s.ass:.1f}"]
+            has_loc = s is not None and s.loc is not None
+            locs.append(f"{split}={100 * s.loc:.1f}" if has_loc else f"{split}=-")
         label_w = max(len(row_label), 7)
         widths = [max(len(h), 7) for h in headers]
         lines = [
@@ -418,12 +410,6 @@ class MetricsReport:
             " ".join([row_label.ljust(label_w)] + [c.rjust(w) for c, w in zip(cells, widths)]),
         ]
         if self.mode == "closed":
-            locs = []
-            for split in ("all", "common", "uncommon"):
-                s = self.splits.get(split)
-                locs.append(
-                    f"{split}={100 * s.loc:.1f}" if s is not None and s.loc is not None else f"{split}=-"
-                )
             lines.append("LocA: " + " ".join(locs))
         return "\n".join(lines)
 
@@ -441,15 +427,13 @@ def _check_inputs(
     issues: list[str] = []
     warnings: list[str] = []
     gt_by_name: dict[str, SequenceTracks] = {}
-    for seq in gt:
-        if seq.meta.name in gt_by_name:
-            issues.append(f"ground truth: duplicate sequence name {seq.meta.name!r}")
-        gt_by_name[seq.meta.name] = seq
     pred_by_name: dict[str, SequenceTracks] = {}
-    for seq in pred:
-        if seq.meta.name in pred_by_name:
-            issues.append(f"predictions: duplicate sequence name {seq.meta.name!r}")
-        pred_by_name[seq.meta.name] = seq
+    sides = (("ground truth", gt, gt_by_name), ("predictions", pred, pred_by_name))
+    for side, seqs, by_name in sides:
+        for seq in seqs:
+            if seq.meta.name in by_name:
+                issues.append(f"{side}: duplicate sequence name {seq.meta.name!r}")
+            by_name[seq.meta.name] = seq
 
     for name in sorted(set(pred_by_name) - set(gt_by_name)):
         msg = f"sequence {name!r} present in predictions but absent from ground truth"
@@ -471,15 +455,9 @@ def _check_inputs(
         for seq in seqs:
             for t in seq.tracks:
                 where = f"{side} sequence {seq.meta.name!r}: track {t.track_id}"
-                frames = [ob.frame for ob in t.observations]
-                if not frames:
-                    issues.append(f"{where} has no observations")
-                elif len(set(frames)) < len(frames):
-                    dups = sorted(f for f, n in Counter(frames).items() if n > 1)
-                    issues.append(
-                        f"{where} has duplicate observations for frame(s) "
-                        + ", ".join(str(f) for f in dups)
-                    )
+                fault = _track_fault(t)
+                if fault is not None:
+                    issues.append(f"{where} {fault}")
                 if not labels_required:
                     continue
                 if t.category_id is None:
@@ -500,9 +478,10 @@ def _split_from_arrays(
     counts: dict[str, Optional[tuple[int, ...]]],
 ) -> SplitScores:
     combined_per_alpha = np.sqrt(det * ass)
+    combined_key, det_key, _ = _NAMES[mode]
     per_alpha = {
-        ("HOTA" if mode == "closed" else "OWTA"): tuple(float(x) for x in combined_per_alpha),
-        ("DetA" if mode == "closed" else "DetRe"): tuple(float(x) for x in det),
+        combined_key: tuple(float(x) for x in combined_per_alpha),
+        det_key: tuple(float(x) for x in det),
         "AssA": tuple(float(x) for x in ass),
     }
     if loc is not None:
@@ -533,8 +512,7 @@ def evaluate(
     gt_by_name, pred_by_name, warnings = _check_inputs(gt, pred, bank, cfg)
     n_alphas = len(cfg.alphas)
 
-    total_gt_tracks = sum(len(s.tracks) for s in gt)
-    if total_gt_tracks == 0:
+    if not any(s.tracks for s in gt):
         warnings.append("ground truth contains zero tracks; every metric is defined as 0")
         zeros = np.zeros(n_alphas)
         counts = {key: (0,) * n_alphas for key in ("tp", "fn", "fp")}
@@ -558,19 +536,18 @@ def evaluate(
     split_names = ("all",) + SPLITS
 
     def sequence_task(name: str) -> tuple[dict[str, np.ndarray], int]:
-        """(tp, fn, fp, ass, loc) of one sequence, each (column, alpha).
-
-        Columns are the categories with gt in closed mode and the splits in
-        open mode.
+        """One sequence's "tp", "fn", "fp", "ass" (and closed mode's "loc")
+        as (column, alpha) arrays in a dict, and its box-fallback pair count.
+        Columns are the categories with gt in closed mode, else the splits.
         """
         gt_seq, pred_seq = gt_by_name.get(name), pred_by_name.get(name)
-        gt_tracks = sorted(gt_seq.tracks if gt_seq else [], key=lambda t: t.track_id)
-        pred_tracks = sorted(pred_seq.tracks if pred_seq else [], key=lambda t: t.track_id)
+        pred_tracks = pred_seq.tracks if pred_seq else []
         if closed:
             # Categories with zero gt tracks anywhere are out of the
             # averaging entirely, their predictions included.
             pred_tracks = [t for t in pred_tracks if t.category_id in cat_index]
-        pool = _build_pool(gt_tracks, pred_tracks, cfg.geometry, same_category=closed)
+        pool = _build_pool(gt_seq.tracks if gt_seq else [], pred_tracks, cfg.geometry, closed)
+        gt_tracks, pred_tracks = pool.gt_tracks, pool.pred_tracks
         # Closed mode sums per category, open mode per gt track.
         groups = np.array(
             [cat_index[t.category_id] if closed else i for i, t in enumerate(gt_tracks)],
@@ -595,7 +572,7 @@ def evaluate(
         }
         cols["fn"] = np.array([pool.gt_len[sel].sum() for sel in in_split])[:, None] - cols["tp"]
         # FPs are class-agnostic; only the "all" column's are read out.
-        cols["fp"] = pool.pred_total - cols["tp"]
+        cols["fp"] = pool.pred_len.sum() - cols["tp"]
         return cols, pool.box_fallback_pairs
 
     # Prediction-only sequences (open mode only) still contribute their FPs.

@@ -506,6 +506,18 @@ def _is_num(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+# The least integer magnitude that rounds to infinity as a double: halfway
+# between the largest finite double, 2**1024 - 2**971, and 2**1024, a tie
+# that round-half-to-even sends up.
+_DOUBLE_OVERFLOW = 2**1024 - 2**970
+
+
+def _is_double(v: Any) -> bool:
+    """A number that fits a double (RFC 8259 section 6); an integer beyond
+    that range is a fault at its field."""
+    return _is_num(v) and (isinstance(v, float) or abs(v) < _DOUBLE_OVERFLOW)
+
+
 def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -612,14 +624,14 @@ def _missing(obj: dict, key: str, path: str, ctx: _Ctx) -> bool:
 
 
 def _parse_box(v: Any, path: str, ctx: _Ctx) -> BBox | None:
-    if not (isinstance(v, list) and len(v) == 4 and all(_is_num(x) for x in v)):
+    if not (isinstance(v, list) and len(v) == 4 and all(_is_double(x) for x in v)):
         ctx.issue(path, "expected 4 numbers")
         return None
     return BBox(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
 
 
 def _parse_vector(v: Any, path: str, ctx: _Ctx) -> np.ndarray | None:
-    if not (isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v)):
+    if not (isinstance(v, list) and len(v) > 0 and all(_is_double(x) for x in v)):
         ctx.issue(path, "expected a non-empty array of numbers")
         return None
     return np.asarray(v, dtype=np.float64)
@@ -692,7 +704,7 @@ def detections_from_jsonable_reference(
                     box = _parse_box(det_obj["box"], f"{dpath}.box", ctx)
                 if not _missing(det_obj, "score", dpath, ctx):
                     score_v = det_obj["score"]
-                    if not _is_num(score_v):
+                    if not _is_double(score_v):
                         ctx.issue(f"{dpath}.score", f"expected a number, got {score_v!r}")
                         score_v = None
                 if not _missing(det_obj, "app_emb", dpath, ctx):
@@ -752,7 +764,7 @@ def tracks_from_jsonable_reference(
             score: float | None = None
             if tr_obj.get("score") is not None:
                 sv = tr_obj["score"]
-                if not _is_num(sv) or not math.isfinite(float(sv)):
+                if not _is_double(sv) or not math.isfinite(sv):
                     ctx.issue(f"{tpath}.score", f"expected a finite number, got {sv!r}")
                 else:
                     score = float(sv)

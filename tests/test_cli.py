@@ -357,7 +357,7 @@ def test_failed_write_keeps_existing_outputs(tmp_path, capsys):
     assert "bank.json" in err and ".tmp" not in err
 
 
-def _multi_sequence_run(d, capsys) -> dict[str, bytes]:
+def _multi_sequence_run(d, capsys, geometry="mask") -> dict[str, bytes]:
     """synth inputs, track, eval closed and open: every output file and stdout."""
     noise = dict(num_frames=12, p_drop=0.1, p_fp=0.3, app_noise_sigma=0.2, cls_noise_sigma=0.05)
     # Uneven track counts, so the sequences differ in size and content.
@@ -373,7 +373,7 @@ def _multi_sequence_run(d, capsys) -> dict[str, bytes]:
     outputs = {}
     for mode in ("closed", "open"):
         assert main(["eval", "--gt", str(d / "gt.json"), "--pred", str(d / "pred.json"),
-                     "--bank", str(d / "bank.json"), "--mode", mode,
+                     "--bank", str(d / "bank.json"), "--mode", mode, "--geometry", geometry,
                      "--report", str(d / f"report_{mode}.json")]) == 0
         outputs[f"stdout_{mode}"] = capsys.readouterr().out.encode()
     outputs.update((p.name, p.read_bytes()) for p in sorted(d.iterdir()))
@@ -411,6 +411,28 @@ def test_multi_sequence_reports_match_pinned_digests(tmp_path, capsys):
     assert min(closed["splits"]["all"]["counts"]["fp"]) > 0
     assert min(json.loads(outputs["report_open.json"])["splits"]["all"]["counts"]["fp"]) > 0
     for name, digest in PINNED_REPORTS.items():
+        assert hashlib.sha256(outputs[name]).hexdigest() == digest, name
+
+
+# sha256 of the stdout tables of `_multi_sequence_run` in both geometries,
+# and of its reports with `--geometry box`, the path of box-only inputs.
+# Synth masks are rectangles, so the two geometries print the same tables.
+PINNED_TABLES = {
+    "stdout_closed": "f7f5ff36d84dc435f3ac034f9283baaf8650b2f33a9fbda47fee5cf58d7b5c15",
+    "stdout_open": "6203b3afc53c4d57983f34dd81984cd0f583a0c0603e18cf4dd1697aec1ba9cc",
+}
+PINNED_BOX_REPORTS = {
+    "report_closed.json": "42c8d93b5864885cca32a598ab24f33e7f35c606d4c36b13250d048b16eac6a8",
+    "report_open.json": "807ee999641e587294f954714498055e9b15b5a922d0c160539db5e72f19d0df",
+}
+
+
+@pytest.mark.parametrize("geometry", ["mask", "box"])
+def test_multi_sequence_tables_and_box_reports_match_pinned_digests(geometry, tmp_path, capsys):
+    outputs = _multi_sequence_run(tmp_path, capsys, geometry)
+    assert json.loads(outputs["report_open.json"])["geometry"] == geometry
+    pinned = dict(PINNED_TABLES, **(PINNED_BOX_REPORTS if geometry == "box" else {}))
+    for name, digest in pinned.items():
         assert hashlib.sha256(outputs[name]).hexdigest() == digest, name
 
 

@@ -713,6 +713,64 @@ def test_track_score_must_be_a_finite_double(score):
     assert exc.value.issues == [f"{SEQ}.tracks[0].score: expected a finite number, got {score!r}"]
 
 
+def _quoted_issue(kind, value):
+    """The one issue filed for ``value`` at a field that echoes it."""
+    if kind == "score":
+        doc = valid_detections_doc()
+        _seq0(doc)["frames"][0]["detections"][0]["score"] = value
+        loader, path = detections_from_jsonable, f"{DET}.score"
+    elif kind == "track_id":
+        doc = valid_tracks_doc()
+        _seq0(doc)["tracks"][0]["track_id"] = value
+        loader, path = tracks_from_jsonable, f"{SEQ}.tracks[0].track_id"
+    else:
+        doc = {"categories": [{"id": 1, "name": "a", "split": value}]}
+        loader, path = bank_from_jsonable, "categories[0].split"
+    with pytest.raises(SchemaError) as exc:
+        loader(doc)
+    (issue,) = exc.value.issues
+    assert issue.startswith(f"{path}: expected ")
+    return issue.partition(", got ")[2]
+
+
+@pytest.mark.parametrize(
+    "kind, value, quoted",
+    [
+        # Past Python's 4,300-digit str limit: described by size, not quoted.
+        ("score", 10**5000, "an integer of 16610 bits"),
+        ("score", [1, -(10**5000)], "a list holding a huge integer"),
+        ("track_id", -(10**5000), "a negative integer of 16610 bits"),
+        ("track_id", -(2**2000), "a negative integer of 2001 bits"),
+        # Long reprs are cut at 500 characters; up to 2,000 bits an int is one.
+        ("track_id", -(2**2000 - 1), str(-(2**2000 - 1))[:500] + "..."),
+        ("track_id", "7" * 600, "'" + "7" * 499 + "..."),
+        ("split", "r" * 1000, "'" + "r" * 499 + "..."),
+        # Short ones are quoted whole, as they always were.
+        ("score", "x", "'x'"),
+        ("track_id", 0, "0"),
+        ("split", "rare", "'rare'"),
+        ("score", 10**400, repr(10**400)),
+    ],
+    ids=["score-5000-digits", "score-list", "track-id-5000-digits", "track-id-2001-bits",
+         "track-id-2000-bits", "track-id-long-string", "split-long", "score-short", "track-id-zero", "split-short",
+         "score-401-digits"],
+)
+def test_messages_quote_a_value_within_bounds(kind, value, quoted):
+    assert _quoted_issue(kind, value) == quoted
+
+
+def test_validate_lists_a_huge_integer_without_a_traceback(tmp_path, capsys):
+    doc = valid_detections_doc()
+    # json reads at most 4,300 digits, as str() writes.
+    _seq0(doc)["frames"][0]["detections"][0]["score"] = -(10**4000)
+    f = tmp_path / "dets.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", "--file", str(f), "--kind", "detections"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {DET}.score: expected a number, got a negative integer of 13288 bits"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # whole-list screens against the per-element references
 
@@ -750,7 +808,7 @@ def _dicts(v) -> list[dict]:
     return []
 
 
-_BAD_ELEMENTS = [True, False, 1.5, -2, 0, float("inf"), float("nan"), "1", None]
+_BAD_ELEMENTS = [True, False, 1.5, -2, 0, float("inf"), float("nan"), "1", None, 10**400, -(10**400)]
 
 
 def _corrupt(doc: dict, data) -> None:
@@ -772,7 +830,9 @@ def _corrupt(doc: dict, data) -> None:
     elif kind == "emb" and embs:
         emb = data.draw(st.sampled_from(embs))
         i = data.draw(st.integers(0, len(emb) - 1))
-        emb[i] = data.draw(st.sampled_from([json.loads("1e999"), -math.inf, math.nan, "x"]))
+        emb[i] = data.draw(
+            st.sampled_from([json.loads("1e999"), -math.inf, math.nan, "x", 10**400, -(10**400)])
+        )
     elif kind == "dims" and embs:
         emb = data.draw(st.sampled_from(embs))
         if data.draw(st.booleans()):

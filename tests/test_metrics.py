@@ -146,6 +146,24 @@ def test_duplicate_frame_rejected():
         hota_alpha([bad], [], 0.5)
 
 
+@pytest.mark.parametrize("single_pool", [hota_alpha, match_frames])
+def test_single_pool_functions_list_every_faulty_track_on_both_sides(single_pool):
+    gt = [
+        TrackRecord(track_id=4, observations=[]),
+        box_track(1, [(0, BOX)]),
+        box_track(2, [(1, BOX), (1, FAR), (3, BOX), (3, BOX)]),
+    ]
+    pred = [box_track(7, [(0, BOX), (0, FAR)]), TrackRecord(track_id=5, observations=[])]
+    with pytest.raises(SchemaError) as err:
+        single_pool(gt, pred, 0.5, geometry="box")
+    assert err.value.issues == [
+        "track 4 has no observations",
+        "track 2 has duplicate observations for frame(s) 1, 3",
+        "track 7 has duplicate observations for frame(s) 0",
+        "track 5 has no observations",
+    ]
+
+
 def test_evaluate_lists_every_empty_or_duplicate_frame_track():
     bank = two_split_bank()
     gt = [
