@@ -24,10 +24,13 @@ The feasibility graph falls apart into independent connected components,
 and a cell list may hold many independent problems at once (one per frame,
 say).  In tracking workloads the gating makes the graph extremely sparse,
 so most components are single cells: those are decided by one vectorised
-rule.  The rest are labelled by vectorised min-label propagation, and each
+rule.  The rest are labelled by vectorised min-label propagation.  A star
+(one row or one column) matches at most one cell, so stars are decided by
+a second vectorised rule, as lone cells are.  Every other component's
+cells are encoded in array passes over all of them at once, and each such
 component then goes through one exact solve: a rows x cols Hungarian
 method (shortest augmenting paths) that assigns every node of the shorter
-side, O(n^2 m) for n <= m.  Negative cells are dropped first, so every
+side, O(n^2 m) for n <= m.  Negative cells are dropped from it, so every
 encoded weight left is positive and a zero in the cost matrix can stand for
 "unmatched": no dummy rows or columns are needed, and the assignment's real
 cells are the unique optimal matching.
@@ -169,15 +172,63 @@ def _assign_dense(
     j_loc = np.empty_like(i_loc)
     j_loc[by_col] = _local_rank(same_comp & (cc_by_col[1:] == cc_by_col[:-1]), seg, starts)
 
-    ends = np.append(starts[1:], len(cell))
-    n_loc_rows = (i_loc[ends - 1] + 1).tolist()
-    n_loc_cols = (np.maximum.reduceat(j_loc, starts) + 1).tolist()
-    i_list, j_list, s_list = i_loc.tolist(), j_loc.tolist(), s[cell].tolist()
+    rows = np.maximum.reduceat(i_loc, starts) + 1
+    cols = np.maximum.reduceat(j_loc, starts) + 1
+    sc = s[cell]
+
+    # A star takes its best cell if that scores >= 0, ties to the first in
+    # row-major order (0.0 and -0.0 tie): the general rules reduced to it.
+    wide = np.minimum(rows, cols) > 1
+    k = np.flatnonzero(~wide[seg])
+    k = k[np.lexsort((k, -sc[k], seg[k]))]
+    best = k[np.diff(seg[k], prepend=-1) != 0]
+    take[cell[best[sc[best] >= 0.0]]] = True
+
+    # The encoding, from high to low bits: [scaled score][cardinality bit]
+    # [lex bit].  With R = rows * cols, cell rank r = i * cols + j adds 2**R
+    # for being matched and 2**(R - 1 - r) for its place; the lex bits sum
+    # to < 2**R.  A score is mant * 2**ex with mant * 2**53 an exact int64:
+    # over its component's least ex it is that int shifted left by
+    # ex - ex_min, then past the largest preference sum (frexp of the
+    # shorter side gives its bit_length).
+    mant, ex = np.frexp(sc)
+    r_total = rows * cols
+    width = r_total + np.frexp(np.minimum(rows, cols))[1] + 1
+    lift = ex - np.minimum.reduceat(ex, starts)[seg] + width[seg]
+    rank = i_loc * cols[seg] + j_loc
+    # A cell's key, its rank past every earlier component's ranks, grows
+    # along the sorted cells, so a chosen cell is found from its key.
+    offset = np.cumsum(r_total) - r_total
+    key = offset[seg] + rank
+    # A negative cell only lowers any sum it joins: it stays out of the cost.
+    solve = wide[seg] & (sc >= 0.0)
+    weight = [
+        -((m << a) + (1 << t) + (1 << (t - 1 - r)))
+        for m, a, t, r in zip(
+            np.ldexp(mant[solve], 53).astype(np.int64).tolist(), lift[solve].tolist(),
+            r_total[seg[solve]].tolist(), rank[solve].tolist(),
+        )
+    ]
+    i_list, j_list = i_loc[solve].tolist(), j_loc[solve].tolist()
+    bounds = np.cumsum(np.add.reduceat(solve, starts)[wide]).tolist()
     chosen: list[int] = []
-    for k, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
-        cells = list(zip(i_list[lo:hi], j_list[lo:hi], s_list[lo:hi]))
-        chosen.extend(lo + x for x in _solve_component(cells, n_loc_rows[k], n_loc_cols[k]))
-    take[cell[chosen]] = True
+    for lo, hi, n, m, off in zip(
+        [0, *bounds], bounds, rows[wide].tolist(), cols[wide].tolist(), offset[wide].tolist()
+    ):
+        # The shorter side's nodes are the rows; every real cost is < 0, so
+        # the best row-perfect assignment, restricted to real cells, is the
+        # best matching, and the encoding makes that matching unique.
+        a, b = (j_list, i_list) if n > m else (i_list, j_list)
+        cost = [[0] * max(n, m) for _ in range(min(n, m))]
+        for c in range(lo, hi):
+            cost[a[c]][b[c]] = weight[c]
+        col_of_row = _min_cost_assignment(cost)
+        # One column per row makes the chosen cells distinct, with distinct
+        # rows and columns.
+        if len(set(col_of_row)) < len(col_of_row):
+            raise InternalInvariantError("assignment gave two rows one column")
+        chosen += [off + (y * m + x if n > m else x * m + y) for x, y in enumerate(col_of_row) if cost[x][y]]
+    take[cell[np.searchsorted(key, chosen)]] = True
     return take
 
 
@@ -190,60 +241,6 @@ def _local_rank(same_as_prev: np.ndarray, seg: np.ndarray, starts: np.ndarray) -
     """
     rank = np.cumsum(np.concatenate(([True], ~same_as_prev))) - 1
     return rank - rank[starts][seg]
-
-
-def _encode_cells(
-    cells: list[tuple[int, int, float]], n_rows: int, n_cols: int
-) -> list[int]:
-    """Map each feasible cell's score to the exact preference-carrying integer.
-
-    Layout, from high to low bits: [scaled score][cardinality bit][lex bit].
-    With R = n_rows * n_cols ranks, cell rank r contributes 2**R for being
-    matched at all and 2**(R - 1 - r) for its position; the sum of every lex
-    bit is < 2**R, so one extra matched cell beats any lex rearrangement,
-    and the score is shifted left past the largest possible preference sum.
-    """
-    r_total = n_rows * n_cols
-    k = min(n_rows, n_cols)
-    shift = r_total + k.bit_length() + 1
-    ratios = [float(v).as_integer_ratio() for (_, _, v) in cells]
-    common_den = max(den for _, den in ratios)
-    out = []
-    for (i_loc, j_loc, _), (num, den) in zip(cells, ratios):
-        scaled = num * (common_den // den)
-        rank = i_loc * n_cols + j_loc
-        out.append((scaled << shift) + (1 << r_total) + (1 << (r_total - 1 - rank)))
-    return out
-
-
-def _solve_component(cells: list[tuple[int, int, float]], n_rows: int, n_cols: int) -> list[int]:
-    """Exact solve of one component given as row-major (row, col, score) cells.
-
-    Rows and columns are local ranks in [0, n_rows) and [0, n_cols); the
-    result holds the positions in ``cells`` of the chosen ones.
-
-    A cell whose encoding is <= 0 (a negative score) only lowers any sum it
-    joins, so it is dropped.  Every weight left is positive, so on the
-    shorter side a zero cost can stand for "unmatched": the best row-perfect
-    assignment of that side, restricted to its real cells, is the best
-    matching, and the encoding makes that matching unique.
-    """
-    encoded = _encode_cells(cells, n_rows, n_cols)
-    flip = n_rows > n_cols
-    cost = [[0] * max(n_rows, n_cols) for _ in range(min(n_rows, n_cols))]
-    cell_at = {}
-    for k, ((i_loc, j_loc, _), enc) in enumerate(zip(cells, encoded)):
-        if enc > 0:
-            if flip:
-                i_loc, j_loc = j_loc, i_loc
-            cost[i_loc][j_loc] = -enc
-            cell_at[i_loc, j_loc] = k
-    col_of_row = _min_cost_assignment(cost)
-    # One column per row makes the chosen cells distinct, with distinct rows
-    # and columns.
-    if len(set(col_of_row)) < len(col_of_row):
-        raise InternalInvariantError("assignment gave two rows one column")
-    return [cell_at[ij] for ij in enumerate(col_of_row) if ij in cell_at]
 
 
 def _min_cost_assignment(cost: list[list[int]]) -> list[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,24 @@ __all__ = [
 
 class InternalInvariantError(RuntimeError):
     """A library invariant broke.  This is a bug, not bad input."""
+
+
+# Quotes are cut to this many characters.  An int of over 4 bits per such digit
+# (2**4 > 10) is described by its size, never turned into (quadratic) text.
+_QUOTE_CHARS = 500
+
+
+def _quote(v: Any, show: Callable[[Any], str] = repr) -> str:
+    """``show(v)`` for a message, cut past ``_QUOTE_CHARS`` characters; a tuple member by member."""
+    if isinstance(v, tuple):
+        return f"({', '.join(_quote(x, show) for x in v)})"
+    if isinstance(v, int) and not isinstance(v, bool) and v.bit_length() > 4 * _QUOTE_CHARS:
+        return f"{'a negative' if v < 0 else 'an'} integer of {v.bit_length()} bits"
+    try:
+        text = show(v)
+    except ValueError:  # an array or object holding an int past Python's 4,300 digits
+        text = f"a {type(v).__name__} holding a huge integer"
+    return text if len(text) <= _QUOTE_CHARS else text[:_QUOTE_CHARS] + "..."
 
 
 @dataclass(frozen=True)
@@ -172,7 +190,7 @@ def validate_sequence(meta: SequenceMeta, detections: Sequence[Detection]) -> li
     # A message is a template filled from the detection ``d``, ``meta``, the
     # box tuple and the mask size.
     checks = [
-        (bad_frame, "frame_index out of range, got {d.frame_index} for {meta.num_frames} frames"),
+        (bad_frame, "frame_index out of range, got {frame} for {meta.num_frames} frames"),
         (bad_objectness, "objectness out of range [0, 1], got {d.objectness}"),
         (~box_finite, "box coordinates must be finite, got {box}"),
         (bad_extent, "box width/height must be >= 0, got w={d.box.w} h={d.box.h}"),
@@ -186,6 +204,7 @@ def validate_sequence(meta: SequenceMeta, detections: Sequence[Detection]) -> li
     hits = np.array(flags, dtype=bool)
     for i in np.flatnonzero(hits.any(axis=0)):
         d = detections[i]
-        fields = dict(d=d, meta=meta, box=d.box.as_tuple(), mask=d.mask and tuple(d.mask.size))
+        fields = dict(d=d, meta=meta, frame=_quote(d.frame_index, str), box=d.box.as_tuple(),
+                      mask=d.mask and tuple(d.mask.size))
         issues += [f"detections[{i}]: {texts[k].format(**fields)}" for k in np.flatnonzero(hits[:, i])]
     return issues

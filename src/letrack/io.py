@@ -50,7 +50,7 @@ from typing import Any, Callable, Iterator, Mapping, Optional, TypeVar
 import numpy as np
 
 from .classification import SPLITS, CategoryBank, CategoryEntry
-from .core import BBox, Detection, SequenceMeta, validate_sequence
+from .core import BBox, Detection, SequenceMeta, _quote, validate_sequence
 from .maskops import RleMask, mask_to_box, rle_counts_from_string, validate_rle
 
 __all__ = [
@@ -288,22 +288,6 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# Quotes are cut to this many characters.  An int of over 4 bits per such digit
-# (2**4 > 10) is described by its size, never turned into (quadratic) text.
-_QUOTE_CHARS = 500
-
-
-def _quote(v: Any) -> str:
-    """``repr(v)`` for a message, cut short past ``_QUOTE_CHARS`` characters."""
-    if _is_int(v) and v.bit_length() > 4 * _QUOTE_CHARS:
-        return f"{'a negative' if v < 0 else 'an'} integer of {v.bit_length()} bits"
-    try:
-        text = repr(v)
-    except ValueError:  # an array or object holding an int past Python's 4,300 digits
-        text = f"a {type(v).__name__} holding a huge integer"
-    return text if len(text) <= _QUOTE_CHARS else text[:_QUOTE_CHARS] + "..."
-
-
 def _all_int(v: list) -> bool:
     return set(map(type, v)) <= _INT or all(map(_is_int, v))
 
@@ -421,7 +405,7 @@ def _mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int]) -> RleMask | 
     if tuple(mask.size) != seq_size:
         ctx.issue(
             f"{path}.size",
-            f"mask size {tuple(mask.size)} does not match sequence size {seq_size}",
+            f"mask size {_quote(tuple(mask.size))} does not match sequence size {_quote(seq_size)}",
         )
     return mask if len(ctx.issues) == n_issues else None
 
@@ -520,7 +504,7 @@ def _detections(
             if not in_range:
                 ctx.issue(
                     f"{fpath}.index",
-                    f"frame index {index} out of range for {meta.num_frames} frames",
+                    f"frame index {_quote(index)} out of range for {meta.num_frames} frames",
                 )
             if prev_index is not None and index <= prev_index:
                 ctx.issue(f"{fpath}.index", "frame indices must be strictly ascending")
@@ -602,7 +586,7 @@ def tracks_from_jsonable(obj: Any, lax: bool = False) -> tuple[list[SequenceTrac
             track_id = _field(tr_obj, "track_id", tpath, ctx, _int, 1)
             if track_id is not None:
                 if track_id in seen_ids:
-                    ctx.issue(f"{tpath}.track_id", f"duplicate track id {track_id}")
+                    ctx.issue(f"{tpath}.track_id", f"duplicate track id {_quote(track_id)}")
                 seen_ids.add(track_id)
             category_id = _field(tr_obj, "category_id", tpath, ctx, _int, required=False)
             score = _field(tr_obj, "score", tpath, ctx, _number, True, required=False)
@@ -627,7 +611,7 @@ def tracks_from_jsonable(obj: Any, lax: bool = False) -> tuple[list[SequenceTrac
                 if frame >= meta.num_frames:
                     ctx.issue(
                         f"{opath}.frame",
-                        f"frame {frame} out of range for {meta.num_frames} frames",
+                        f"frame {_quote(frame)} out of range for {meta.num_frames} frames",
                     )
                 if prev_frame is not None and frame <= prev_frame:
                     ctx.issue(

@@ -27,7 +27,6 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from letrack.assignment import _encode_cells
 from letrack.core import BBox, Detection, InternalInvariantError, SequenceMeta
 from letrack.io import (
     FrameDetections,
@@ -83,6 +82,33 @@ def assignment_oracle(scores, feasible=None) -> list[tuple[int, int]]:
 
     rec(0, frozenset(), [])
     return list(best[0][2])
+
+
+# The cell encoding, one cell at a time through ``as_integer_ratio``.
+# ``letrack.assignment`` builds the same layout in array passes from
+# ``np.frexp``, so the reference never shares the encoding it judges.
+def _encode_cells(
+    cells: list[tuple[int, int, float]], n_rows: int, n_cols: int
+) -> list[int]:
+    """Map each feasible cell's score to the exact preference-carrying integer.
+
+    Layout, from high to low bits: [scaled score][cardinality bit][lex bit].
+    With R = n_rows * n_cols ranks, cell rank r contributes 2**R for being
+    matched at all and 2**(R - 1 - r) for its position; the sum of every lex
+    bit is < 2**R, so one extra matched cell beats any lex rearrangement,
+    and the score is shifted left past the largest possible preference sum.
+    """
+    r_total = n_rows * n_cols
+    k = min(n_rows, n_cols)
+    shift = r_total + k.bit_length() + 1
+    ratios = [float(v).as_integer_ratio() for (_, _, v) in cells]
+    common_den = max(den for _, den in ratios)
+    out = []
+    for (i_loc, j_loc, _), (num, den) in zip(cells, ratios):
+        scaled = num * (common_den // den)
+        rank = i_loc * n_cols + j_loc
+        out.append((scaled << shift) + (1 << r_total) + (1 << (r_total - 1 - rank)))
+    return out
 
 
 # The exact component solve as it stood before the rectangular solver: the

@@ -125,8 +125,14 @@ def test_deterministic_across_calls():
     assert all(hungarian_max(scores, feasible) == first for _ in range(5))
 
 
+# Scores that probe the array encoding: signed zeros, subnormals, and
+# binary exponents more than 64 apart (1.0 beside 2**-80), whose mantissas
+# shifted onto one denominator outgrow int64.
+_EDGE_SCORES = [0.0, -0.0, 5e-324, 2.2e-308, -5e-324, 2.0**-80, -(2.0**-80), 1.0 + 2.0**-52]
+
 _SCORES = st.one_of(
     st.sampled_from([0.0, -0.0, -0.25, 0.25, 0.5, 1.0]),
+    st.sampled_from(_EDGE_SCORES),
     st.floats(-1.0, 1.0, allow_nan=False, width=32),
 )
 
@@ -165,7 +171,7 @@ def _dense_cells(scores, feasible, row_keys, col_keys):
     ]
 
 
-_TIE_SCORES = st.sampled_from([0.0, -0.0, -0.25, 0.25, 0.5, 1.0])
+_TIE_SCORES = st.sampled_from([0.0, -0.0, -0.25, 0.25, 0.5, 1.0, *_EDGE_SCORES])
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,7 +191,10 @@ def test_assign_cells_blocks_match_oracle(data):
         col_keys, col_pool = sorted(col_pool[:m]), col_pool[m:]
         density = data.draw(st.floats(0.2, 1.0), label="density")
         feasible = [[data.draw(st.floats(0.0, 1.0)) < density for _ in range(m)] for _ in range(n)]
-        scores = [[data.draw(_TIE_SCORES) for _ in range(m)] for _ in range(n)]
+        if data.draw(st.booleans(), label="equal scores"):
+            scores = [[data.draw(_TIE_SCORES)] * m] * n
+        else:
+            scores = [[data.draw(_TIE_SCORES) for _ in range(m)] for _ in range(n)]
         cells += _dense_cells(scores, feasible, row_keys, col_keys)
         want += [(row_keys[i], col_keys[j]) for i, j in assignment_oracle(scores, feasible)]
     cells = data.draw(st.permutations(cells), label="order")
@@ -193,19 +202,8 @@ def test_assign_cells_blocks_match_oracle(data):
     assert _chosen(rows, cols, scores) == sorted(want)
 
 
-@pytest.mark.parametrize("k", [2, 5])
-def test_assign_cells_single_row_and_single_column_components(k):
-    scores = [0.25, 1.0, -0.25, 1.0, 0.5][:k]
-    keys = [3 * j + 7 for j in range(k)]
-    want = assignment_oracle([scores], [[True] * k])
-    assert _chosen([4] * k, keys, scores) == [(4, keys[j]) for _, j in want]
-    want = assignment_oracle([[v] for v in scores], [[True]] * k)
-    assert _chosen(keys, [4] * k, scores) == [(keys[i], 4) for i, _ in want]
-
-
-def test_assign_cells_full_block_takes_the_exact_solver(monkeypatch):
-    # A dense 5 x 5 block is one component, solved by one rows x cols call
-    # of the rectangular solver; tie-heavy scores probe its tie-break.
+def _spy_solver(monkeypatch) -> list[tuple[int, int]]:
+    """The (rows, cols) shape of every exact solve from here on."""
     calls = []
     solve = assignment._min_cost_assignment
 
@@ -214,6 +212,52 @@ def test_assign_cells_full_block_takes_the_exact_solver(monkeypatch):
         return solve(cost)
 
     monkeypatch.setattr(assignment, "_min_cost_assignment", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_assign_cells_single_row_and_single_column_components(k, monkeypatch):
+    # Stars are decided by one vectorised rule: none reaches the solver.
+    calls = _spy_solver(monkeypatch)
+    scores = [0.25, 1.0, -0.25, 1.0, 0.5][:k]
+    keys = [3 * j + 7 for j in range(k)]
+    want = assignment_oracle([scores], [[True] * k])
+    assert _chosen([4] * k, keys, scores) == [(4, keys[j]) for _, j in want]
+    want = assignment_oracle([[v] for v in scores], [[True]] * k)
+    assert _chosen(keys, [4] * k, scores) == [(keys[i], 4) for i, _ in want]
+    assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_assign_cells_star_blocks_match_oracle(data):
+    # Only 1 x k and k x 1 blocks with interleaved keys, tie-heavy scores,
+    # signed zeros and negative cells: each takes its best cell if that is
+    # >= 0, ties to the first, and no block reaches the solver.
+    star = st.integers(2, 9).flatmap(lambda k: st.sampled_from([(1, k), (k, 1)]))
+    shapes = data.draw(st.lists(star, min_size=1, max_size=5), label="shapes")
+    n_rows, n_cols = sum(n for n, _ in shapes), sum(m for _, m in shapes)
+    row_pool = data.draw(st.permutations(range(2 * n_rows)), label="row keys")
+    col_pool = data.draw(st.permutations(range(2 * n_cols)), label="col keys")
+    cells, want = [], []
+    for n, m in shapes:
+        row_keys, row_pool = sorted(row_pool[:n]), row_pool[n:]
+        col_keys, col_pool = sorted(col_pool[:m]), col_pool[m:]
+        scores = [[data.draw(_TIE_SCORES) for _ in range(m)] for _ in range(n)]
+        feasible = [[True] * m for _ in range(n)]
+        cells += _dense_cells(scores, feasible, row_keys, col_keys)
+        want += [(row_keys[i], col_keys[j]) for i, j in assignment_oracle(scores, feasible)]
+    cells = data.draw(st.permutations(cells), label="order")
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_solver(mp)
+        assert _chosen(*zip(*cells)) == sorted(want)
+    assert calls == []
+
+
+def test_assign_cells_full_block_takes_the_exact_solver(monkeypatch):
+    # A dense 5 x 5 block is one component, solved by one rows x cols call
+    # of the rectangular solver; tie-heavy scores probe its tie-break.
+    calls = _spy_solver(monkeypatch)
     rng = np.random.default_rng(5)
     scores = rng.choice([0.0, 0.25, 0.5, 1.0], (5, 5))
     feasible = np.ones((5, 5), dtype=bool)
@@ -250,11 +294,13 @@ def _wide_block(data, shape):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_wide_components_match_the_square_reference(data):
+    # The block's local ranks are its keys.  The optimum is unique, so
+    # assign_cells splitting the block into components cannot change it.
     n, m = data.draw(_WIDE, label="shape")
     cells = _wide_block(data, (n, m))
-    got = assignment._solve_component(cells, n, m) if cells else []
+    got = _chosen(*zip(*cells)) if cells else []
     want = solve_component_reference(cells, n, m) if cells else []
-    assert sorted(got) == sorted(want)
+    assert got == sorted(cells[k][:2] for k in want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -759,6 +759,53 @@ def test_messages_quote_a_value_within_bounds(kind, value, quoted):
     assert _quoted_issue(kind, value) == quoted
 
 
+def _huge_frame_index(doc, value):
+    _seq0(doc)["frames"][1]["index"] = value
+    return f"{SEQ}.frames[1].index: frame index "
+
+
+def _huge_observation_frame(doc, value):
+    _obs(doc, 1)["frame"] = value
+    return f"{OBS}[1].frame: frame "
+
+
+def _huge_duplicate_track_id(doc, value):
+    tracks = _seq0(doc)["tracks"]
+    tracks[0]["track_id"] = value
+    tracks.append(copy.deepcopy(tracks[0]))
+    return f"{SEQ}.tracks[1].track_id: duplicate track id "
+
+
+def _huge_mask_size(doc, value):
+    # One run covers the huge mask, so its runs are valid and only its size is wrong.
+    _obs(doc, 1)["mask"] = {"size": [value, 1], "counts": [value]}
+    return f"{OBS}[1].mask.size: mask size ("
+
+
+@pytest.mark.parametrize("value", [10**4000, 10**5000], ids=["4001-digits", "5001-digits"])
+@pytest.mark.parametrize(
+    "site",
+    [_huge_frame_index, _huge_observation_frame, _huge_duplicate_track_id, _huge_mask_size, None],
+    ids=["frame-index", "observation-frame", "duplicate-track-id", "mask-size", "validate-sequence"],
+)
+def test_accepted_huge_integers_give_one_bounded_issue(site, value):
+    # An accepted integer is quoted within bounds wherever a message names
+    # it; past Python's 4,300 digits it must not raise a bare ValueError.
+    if site is None:
+        meta = SequenceMeta("a", 4, 4, 2)
+        det = Detection(value, BBox(0, 0, 1, 1), 0.5, np.ones(1), np.ones(1))
+        issues, start = validate_sequence(meta, [det]), "detections[0]: frame_index out of range, got "
+    else:
+        doc = valid_detections_doc() if site is _huge_frame_index else valid_tracks_doc()
+        start = site(doc, value)
+        loader = detections_from_jsonable if site is _huge_frame_index else tracks_from_jsonable
+        with pytest.raises(SchemaError) as exc:
+            loader(doc)
+        issues = exc.value.issues
+    (issue,) = issues
+    assert issue.startswith(start) and len(issue) < 700, issue[:200]
+
+
 def test_validate_lists_a_huge_integer_without_a_traceback(tmp_path, capsys):
     doc = valid_detections_doc()
     # json reads at most 4,300 digits, as str() writes.
