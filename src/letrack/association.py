@@ -14,7 +14,12 @@ prior, no NMS.  Per frame the tracker
 
 Lost tracks stay in the matchable pool until they die, which is what makes
 re-identification after occlusion work.  Dead tracks are kept (a finished
-run reports every track ever spawned) but never matched again.
+run reports every track ever spawned) but never matched again.  The pool is
+kept between frames as rows (smoothed embedding, last class exemplar),
+appended on spawn and compacted on death; all matched rows take their EMA
+update at once.  A frame's votes come from one ``nearest_prototypes``
+product; a row within its rounding bound of a tie, or of zero norm, goes
+through ``classify_detection``, so every label is the per-detection one.
 
 Thresholds and momentum live in TrackerConfig; the operations never
 hard-code them.
@@ -28,7 +33,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .assignment import hungarian_max
-from .classification import CategoryBank, classify_detection, track_label, vote, vote_fraction
+from .classification import (
+    CategoryBank, classify_detection, nearest_prototypes, track_label, vote, vote_fraction,
+)
 from .core import Detection, InternalInvariantError, SequenceMeta, TrackState, TrackStatus
 from .io import (
     SequenceDetections,
@@ -72,18 +79,9 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.match_threshold < 1.0):
             raise ValueError(f"match_threshold must be in (0, 1), got {self.match_threshold}")
-        if not (0.0 <= self.new_track_threshold <= 1.0):
-            raise ValueError(
-                f"new_track_threshold must be in [0, 1], got {self.new_track_threshold}"
-            )
-        if not (-1.0 <= self.cem_gate_threshold <= 1.0):
-            raise ValueError(
-                f"cem_gate_threshold must be in [-1, 1], got {self.cem_gate_threshold}"
-            )
-        if not (0.0 <= self.embedding_momentum <= 1.0):
-            raise ValueError(
-                f"embedding_momentum must be in [0, 1], got {self.embedding_momentum}"
-            )
+        for name, lo in (("new_track_threshold", 0), ("cem_gate_threshold", -1), ("embedding_momentum", 0)):
+            if not (lo <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must be in [{lo}, 1], got {getattr(self, name)}")
         if self.max_lost_frames < 0:
             raise ValueError(f"max_lost_frames must be >= 0, got {self.max_lost_frames}")
 
@@ -98,9 +96,6 @@ class Diagnostics:
     """Soft-failure counters; these never raise, only record."""
 
     zero_norm_cls_emb: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"zero_norm_cls_emb": self.zero_norm_cls_emb}
 
 
 @dataclass(frozen=True)
@@ -173,23 +168,29 @@ def cem_gate(
     return (qu @ ku.T) >= threshold
 
 
+def _ema(smoothed: np.ndarray, incoming: np.ndarray, momentum: float) -> np.ndarray:
+    return (1.0 - momentum) * smoothed + momentum * incoming
+
+
 def update_embedding(track: TrackState, det: Detection, momentum: float) -> np.ndarray:
     """EMA of the track's smoothed appearance embedding with the detection's."""
     if not (0.0 <= momentum <= 1.0):
         raise ValueError(f"momentum must be in [0, 1], got {momentum}")
-    return (1.0 - momentum) * track.app_emb_smoothed + momentum * np.asarray(
-        det.app_emb, dtype=np.float64
-    )
+    return _ema(track.app_emb_smoothed, np.asarray(det.app_emb, dtype=np.float64), momentum)
 
 
 class Tracker:
-    """Stateful per-sequence tracker; step frames in ascending order."""
+    """Stateful per-sequence tracker; step frames in ascending order.
+
+    Live track k, in spawn order, owns row k of ``_app`` and of ``_cls``."""
 
     def __init__(self, cfg: TrackerConfig | None = None, bank: CategoryBank | None = None):
         self.cfg = cfg if cfg is not None else TrackerConfig()
         self.bank = bank
         self.diagnostics = Diagnostics()
         self._tracks: list[TrackState] = []
+        self._live: list[TrackState] = []
+        self._app = self._cls = np.zeros((0, 0))
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -197,11 +198,6 @@ class Tracker:
     def tracks(self) -> list[TrackState]:
         """Every track ever spawned, in spawn order (dead ones included)."""
         return list(self._tracks)
-
-    def _cast_vote(self, track: TrackState, det: Detection) -> None:
-        if self.bank is not None:
-            category_id, _ = classify_detection(det.cls_emb, self.bank, self.diagnostics)
-            vote(track, category_id)
 
     def step(self, frame_index: int, detections: Sequence[Detection]) -> FrameAssignment:
         if self._last_frame is not None and frame_index <= self._last_frame:
@@ -215,67 +211,72 @@ class Tracker:
                 )
         self._last_frame = frame_index
 
-        pool = [t for t in self._tracks if t.status is not TrackStatus.DEAD]
+        pool = self._live
         n, m = len(detections), len(pool)
+        if n > 0:
+            det_app = np.array([d.app_emb for d in detections], dtype=np.float64)
+            det_cls = np.array([d.cls_emb for d in detections], dtype=np.float64)
+        pairs: list[tuple[int, int]] = []
         if n > 0 and m > 0:
-            det_app = np.stack([np.asarray(d.app_emb, np.float64) for d in detections])
-            det_cls = np.stack([np.asarray(d.cls_emb, np.float64) for d in detections])
-            pool_app = np.stack([t.app_emb_smoothed for t in pool])
+            scores = bisoftmax_scores(det_app, self._app)
             # The gate compares against each track's most recent exemplar.
-            pool_cls = np.stack(
-                [np.asarray(t.observations[-1][1].cls_emb, np.float64) for t in pool]
-            )
-            scores = bisoftmax_scores(det_app, pool_app)
-            gate = cem_gate(det_cls, pool_cls, self.cfg.cem_gate_threshold, self.diagnostics)
-            feasible = gate & (scores >= self.cfg.match_threshold)
-            pairs = hungarian_max(scores, feasible)
-        else:
-            scores = np.zeros((n, m), dtype=np.float64)
-            pairs = []
+            gate = cem_gate(det_cls, self._cls, self.cfg.cem_gate_threshold, self.diagnostics)
+            pairs = hungarian_max(scores, gate & (scores >= self.cfg.match_threshold))
 
-        matched_dets: set[int] = set()
-        matched_pool: set[int] = set()
-        matches: list[tuple[int, int, float]] = []
-        for i, j in pairs:
-            det, track = detections[i], pool[j]
-            track.observations.append((frame_index, det))
-            track.app_emb_smoothed = update_embedding(track, det, self.cfg.embedding_momentum)
+        dets, rows = [i for i, _ in pairs], [j for _, j in pairs]
+        if pairs:
+            smoothed = _ema(self._app[rows], det_app[dets], self.cfg.embedding_momentum)
+            self._app[rows], self._cls[rows] = smoothed, det_cls[dets]
+        for k, (i, j) in enumerate(pairs):
+            track = pool[j]
+            track.observations.append((frame_index, detections[i]))
+            track.app_emb_smoothed = smoothed[k]
             track.last_frame = frame_index
             track.status = TrackStatus.ACTIVE
-            self._cast_vote(track, det)
-            matches.append((i, track.track_id, float(scores[i, j])))
-            matched_dets.add(i)
-            matched_pool.add(j)
 
-        new_tracks: list[tuple[int, int]] = []
-        for i, det in enumerate(detections):
-            if i in matched_dets or det.objectness < self.cfg.new_track_threshold:
-                continue
-            track = TrackState(
-                track_id=self._next_id,
-                app_emb_smoothed=np.asarray(det.app_emb, np.float64).copy(),
-                last_frame=frame_index,
-                observations=[(frame_index, det)],
-                status=TrackStatus.ACTIVE,
-            )
-            self._next_id += 1
-            self._tracks.append(track)
-            self._cast_vote(track, det)
-            new_tracks.append((i, track.track_id))
+        matched_dets = set(dets)
+        spawned = [
+            i for i, det in enumerate(detections)
+            if i not in matched_dets and det.objectness >= self.cfg.new_track_threshold
+        ]
+        born = [
+            TrackState(self._next_id + k, det_app[i], frame_index, [(frame_index, detections[i])])
+            for k, i in enumerate(spawned)
+        ]
+        self._next_id += len(born)
+        self._tracks += born
 
-        unmatched_tracks: list[int] = []
-        for j, track in enumerate(pool):
-            if j in matched_pool:
-                continue
+        # One vote per matched or spawned detection.  The rows one product
+        # cannot decide go through classify_detection: every label is its own.
+        voters = dets + spawned
+        if self.bank is not None and voters:
+            labels, decided = nearest_prototypes(det_cls[voters], self.bank)
+            for k in np.flatnonzero(~decided):
+                labels[k], _ = classify_detection(detections[voters[k]].cls_emb, self.bank, self.diagnostics)
+            for track, category_id in zip([pool[j] for j in rows] + born, labels):
+                vote(track, category_id)
+
+        matched_rows = set(rows)
+        unmatched_tracks = [t for j, t in enumerate(pool) if j not in matched_rows]
+        for track in unmatched_tracks:
             track.status = TrackStatus.LOST
-            if frame_index - track.last_frame > self.cfg.max_lost_frames:
+        dying = [t for t in unmatched_tracks if frame_index - t.last_frame > self.cfg.max_lost_frames]
+        if dying:
+            for track in dying:
                 track.status = TrackStatus.DEAD
-            unmatched_tracks.append(track.track_id)
+            live = [j for j, t in enumerate(pool) if t.status is not TrackStatus.DEAD]
+            self._live, self._app, self._cls = [pool[j] for j in live], self._app[live], self._cls[live]
+        if born:
+            # With no live row left, the new rows may bring new dimensions.
+            old = (self._app, self._cls) if self._live else (det_app[:0], det_cls[:0])
+            self._live = self._live + born
+            self._app = np.concatenate([old[0], det_app[spawned]])
+            self._cls = np.concatenate([old[1], det_cls[spawned]])
 
         result = FrameAssignment(
-            matches=tuple(matches),
-            new_tracks=tuple(new_tracks),
-            unmatched_tracks=tuple(unmatched_tracks),
+            matches=tuple((i, pool[j].track_id, float(scores[i, j])) for i, j in pairs),
+            new_tracks=tuple((i, t.track_id) for i, t in zip(spawned, born)),
+            unmatched_tracks=tuple(t.track_id for t in unmatched_tracks),
         )
         _check_assignment(result, n)
         return result
@@ -340,9 +341,7 @@ def _run(
     frame_map = dict(frames)
     for idx in frame_map:
         if not (0 <= idx < meta.num_frames):
-            raise ValueError(
-                f"frame index {idx} out of range for {meta.num_frames}-frame sequence"
-            )
+            raise ValueError(f"frame index {idx} out of range for {meta.num_frames}-frame sequence")
     tracker = Tracker(cfg, bank)
     for idx in range(meta.num_frames):
         tracker.step(idx, frame_map.get(idx, ()))

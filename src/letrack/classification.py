@@ -22,6 +22,7 @@ __all__ = [
     "CategoryEntry",
     "SPLITS",
     "classify_detection",
+    "nearest_prototypes",
     "track_label",
     "vote",
     "vote_fraction",
@@ -146,6 +147,31 @@ def classify_detection(
     sims = protos @ (emb / norm)
     best = int(np.argmax(sims))  # first maximum = smallest id, ids are sorted
     return int(ids[best]), float(sims[best])
+
+
+def nearest_prototypes(cls_embs: np.ndarray, bank: CategoryBank) -> tuple[list[int], np.ndarray]:
+    """``classify_detection``'s labels for the rows of ``cls_embs``, from one
+    product, and the rows they are sure for; the rest (near ties, zero or
+    extreme norms, a wrong dimension) must go through ``classify_detection``."""
+    embs = np.asarray(cls_embs, dtype=np.float64)
+    undecided = [0] * len(embs), np.zeros(len(embs), dtype=bool)
+    if len(bank) == 0 or embs.ndim != 2 or embs.shape[1] != bank.prototype_matrix()[1].shape[1]:
+        return undecided
+    ids, protos = bank.prototype_matrix()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        norms = np.linalg.norm(embs, axis=1)
+        sure = (norms > 2.0**-500) & (norms < 2.0**500)
+        sims = np.divide(embs, norms[:, None], out=np.zeros_like(embs), where=sure[:, None]) @ protos.T
+    if len(protos) > 1:
+        # Higham (Accuracy and Stability, 2nd ed., ch. 3): with a norm whose
+        # squares neither overflow nor underflow, each similarity is a common
+        # positive factor times (cosine + e), |e| <= g = gamma_(d+1) * (1 + 1e-6),
+        # in any summation order.  So the per-row product has this argmax when
+        # the top two differ by over 4 g; 8 * gamma_(d+4) leaves a 2x margin.
+        u = (protos.shape[1] + 4) * 2.0**-53
+        top2 = np.partition(sims, -2, axis=1)[:, -2:]
+        sure &= top2[:, 1] - top2[:, 0] > 8.0 * u / (1.0 - u)
+    return ids[sims.argmax(axis=1)].tolist(), sure
 
 
 def vote(track: "TrackState", category_id: int) -> dict[int, int]:

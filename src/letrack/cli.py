@@ -24,6 +24,7 @@ import os
 import sys
 import traceback
 from collections import Counter
+from dataclasses import asdict
 from typing import Any, Callable
 
 from .association import TrackerConfig, track_sequence
@@ -84,7 +85,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     out_sequences = [seq for seq, _ in results]
     totals: Counter[str] = Counter()
     for _, diag in results:
-        totals.update(diag.as_dict())
+        totals.update(asdict(diag))
     for key, value in sorted(totals.items()):
         if value:
             print(f"diagnostic: {key} = {value}", file=sys.stderr)

@@ -166,8 +166,11 @@ def validate_sequence(meta: SequenceMeta, detections: Sequence[Detection]) -> li
         issues.append(f"meta: frame size must be >= 1x1, got {meta.height}x{meta.width}")
     if meta.num_frames < 1:
         issues.append(f"meta: num_frames must be >= 1, got {meta.num_frames}")
+    elif meta.num_frames >= 2**63:  # every frame index of a valid sequence fits an int64
+        issues.append(f"meta: num_frames must be <= 2**63 - 1, got {_quote(meta.num_frames, str)}")
 
-    frames = np.array(list(map(attrgetter("frame_index"), detections)))
+    # An empty list would make a float array, which cannot compare with a huge num_frames.
+    frames = np.array(list(map(attrgetter("frame_index"), detections)) or np.zeros(0, np.int64))
     bad_frame = ~((0 <= frames) & (frames < meta.num_frames))
     objectness = np.array(list(map(attrgetter("objectness"), detections)))
     bad_objectness = ~((0.0 <= objectness) & (objectness <= 1.0))

@@ -6,6 +6,9 @@ and literal set-counting definitions instead of algebraic shortcuts.  If
 production and oracle agree on thousands of random instances, the clever
 code earns its keep.
 
+The reference tracker steps one row at a time: it stacks the pool afresh
+each frame and classifies each voting detection alone.
+
 The synthesis references draw the random stream one Gaussian at a time and
 paint rectangle masks on a full grid.
 
@@ -27,7 +30,10 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from letrack.core import BBox, Detection, InternalInvariantError, SequenceMeta
+from letrack.assignment import hungarian_max
+from letrack.association import Diagnostics, FrameAssignment, TrackerConfig, bisoftmax_scores, cem_gate
+from letrack.classification import CategoryBank, classify_detection, vote
+from letrack.core import BBox, Detection, InternalInvariantError, SequenceMeta, TrackState, TrackStatus
 from letrack.io import (
     FrameDetections,
     SchemaError,
@@ -254,6 +260,85 @@ def _min_cost_perfect_reference(cost: list[list[int]], inf: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# tracker (one row at a time)
+
+
+class ReferenceTracker:
+    """``Tracker.step`` in its per-row form: the pool is stacked afresh every
+    frame from the live tracks, each matched track's EMA is its own array
+    operation, and each vote is its own ``classify_detection`` call."""
+
+    def __init__(self, cfg: TrackerConfig | None = None, bank: CategoryBank | None = None):
+        self.cfg = cfg if cfg is not None else TrackerConfig()
+        self.bank = bank
+        self.diagnostics = Diagnostics()
+        self.tracks: list[TrackState] = []
+        self._next_id = 1
+
+    def _cast_vote(self, track: TrackState, det: Detection) -> None:
+        if self.bank is not None:
+            category_id, _ = classify_detection(det.cls_emb, self.bank, self.diagnostics)
+            vote(track, category_id)
+
+    def step(self, frame_index: int, detections: list[Detection]) -> FrameAssignment:
+        pool = [t for t in self.tracks if t.status is not TrackStatus.DEAD]
+        n, m = len(detections), len(pool)
+        if n > 0 and m > 0:
+            det_app = np.stack([np.asarray(d.app_emb, np.float64) for d in detections])
+            det_cls = np.stack([np.asarray(d.cls_emb, np.float64) for d in detections])
+            pool_app = np.stack([t.app_emb_smoothed for t in pool])
+            pool_cls = np.stack(
+                [np.asarray(t.observations[-1][1].cls_emb, np.float64) for t in pool]
+            )
+            scores = bisoftmax_scores(det_app, pool_app)
+            gate = cem_gate(det_cls, pool_cls, self.cfg.cem_gate_threshold, self.diagnostics)
+            pairs = hungarian_max(scores, gate & (scores >= self.cfg.match_threshold))
+        else:
+            pairs = []
+
+        matches = []
+        momentum = self.cfg.embedding_momentum
+        for i, j in pairs:
+            det, track = detections[i], pool[j]
+            track.observations.append((frame_index, det))
+            track.app_emb_smoothed = (1.0 - momentum) * track.app_emb_smoothed + momentum * np.asarray(
+                det.app_emb, dtype=np.float64
+            )
+            track.last_frame = frame_index
+            track.status = TrackStatus.ACTIVE
+            self._cast_vote(track, det)
+            matches.append((i, track.track_id, float(scores[i, j])))
+
+        matched_dets = {i for i, _ in pairs}
+        new_tracks = []
+        for i, det in enumerate(detections):
+            if i in matched_dets or det.objectness < self.cfg.new_track_threshold:
+                continue
+            track = TrackState(
+                track_id=self._next_id,
+                app_emb_smoothed=np.asarray(det.app_emb, np.float64).copy(),
+                last_frame=frame_index,
+                observations=[(frame_index, det)],
+                status=TrackStatus.ACTIVE,
+            )
+            self._next_id += 1
+            self.tracks.append(track)
+            self._cast_vote(track, det)
+            new_tracks.append((i, track.track_id))
+
+        matched_pool = {j for _, j in pairs}
+        unmatched_tracks = []
+        for j, track in enumerate(pool):
+            if j in matched_pool:
+                continue
+            track.status = TrackStatus.LOST
+            if frame_index - track.last_frame > self.cfg.max_lost_frames:
+                track.status = TrackStatus.DEAD
+            unmatched_tracks.append(track.track_id)
+        return FrameAssignment(tuple(matches), tuple(new_tracks), tuple(unmatched_tracks))
+
+
+# ---------------------------------------------------------------------------
 # evaluation (one class-agnostic pool, box geometry)
 
 
@@ -458,6 +543,8 @@ def validate_sequence_reference(meta: SequenceMeta, detections: list[Detection])
         issues.append(f"meta: frame size must be >= 1x1, got {meta.height}x{meta.width}")
     if meta.num_frames < 1:
         issues.append(f"meta: num_frames must be >= 1, got {meta.num_frames}")
+    elif meta.num_frames >= 2**63:
+        issues.append(f"meta: num_frames must be <= 2**63 - 1, got {meta.num_frames}")
 
     app_dim: int | None = None
     cls_dim: int | None = None

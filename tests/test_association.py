@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letrack.association import (
     Diagnostics,
@@ -13,11 +15,12 @@ from letrack.association import (
     track_sequence,
     update_embedding,
 )
-from letrack.classification import track_label, vote_fraction
+from letrack.classification import classify_detection, track_label, vote_fraction
 from letrack.core import TrackState, TrackStatus
 from letrack.synth import SynthConfig, generate
 
 from helpers import det, meta, two_split_bank, unit
+from oracles import ReferenceTracker
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +415,111 @@ def test_tracker_is_deterministic():
         return out
 
     assert snapshot() == snapshot()
+
+
+# ---------------------------------------------------------------------------
+# the row pool against the per-row reference
+
+
+def _state(t: TrackState) -> tuple:
+    return (
+        t.track_id,
+        t.status,
+        t.last_frame,
+        t.category_votes,
+        [(f, id(d)) for f, d in t.observations],
+        t.app_emb_smoothed.dtype,
+        t.app_emb_smoothed.shape,
+        t.app_emb_smoothed.tobytes(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    synth=st.builds(
+        SynthConfig,
+        seed=st.integers(0, 2**20),
+        num_frames=st.integers(1, 14),
+        num_tracks=st.integers(0, 7),
+        num_categories=st.integers(1, 5),
+        p_drop=st.sampled_from([0.0, 0.2, 0.6]),
+        p_fp=st.sampled_from([0.0, 0.3, 1.0]),
+        app_noise_sigma=st.sampled_from([0.0, 0.2, 1.0]),
+        cls_noise_sigma=st.sampled_from([0.0, 0.05, 0.5]),
+        app_emb_dim=st.integers(1, 8),
+        cls_emb_dim=st.integers(1, 6),
+    ),
+    cfg=st.builds(
+        TrackerConfig,
+        match_threshold=st.sampled_from([0.05, 0.3, 0.5, 0.9]),
+        new_track_threshold=st.sampled_from([0.0, 0.5, 0.7, 1.0]),
+        cem_gate_threshold=st.sampled_from([-1.0, 0.0, 0.5, 0.9]),
+        embedding_momentum=st.sampled_from([0.0, 1.0, 0.8, 0.3]),
+        max_lost_frames=st.integers(0, 3),
+    ),
+    with_bank=st.booleans(),
+)
+def test_tracker_matches_the_per_row_reference(synth, cfg, with_bank):
+    res = generate(synth)
+    (seq,) = res.detections
+    bank = res.bank if with_bank else None
+    frames = {fr.index: fr.detections for fr in seq.frames}
+    fast, ref = Tracker(cfg, bank), ReferenceTracker(cfg, bank)
+    for f in range(seq.meta.num_frames):
+        dets = frames.get(f, [])
+        assert fast.step(f, dets) == ref.step(f, dets)
+    assert [_state(t) for t in fast.tracks] == [_state(t) for t in ref.tracks]
+    assert fast.diagnostics == ref.diagnostics
+
+
+def test_zero_norm_class_embeddings_count_as_the_reference_does():
+    frames = [
+        [det(0, app=APP_A, cls=(0.0, 0.0)), det(0, app=APP_B, cls=CLS_Y)],
+        [det(1, app=APP_A, cls=(0.0, 0.0)), det(1, app=APP_B, cls=(0.0, 0.0))],
+    ]
+    cfg = TrackerConfig(cem_gate_threshold=-1.0)
+    fast, ref = Tracker(cfg, two_split_bank()), ReferenceTracker(cfg, two_split_bank())
+    for f, dets in enumerate(frames):
+        assert fast.step(f, dets) == ref.step(f, dets)
+    assert fast.diagnostics == ref.diagnostics
+    assert fast.diagnostics.zero_norm_cls_emb > 0
+    assert [t.category_votes for t in fast.tracks] == [t.category_votes for t in ref.tracks]
+
+
+# ---------------------------------------------------------------------------
+# embedding dimensions
+
+
+def test_new_dimensions_are_accepted_once_every_track_has_died():
+    cfg = TrackerConfig(max_lost_frames=0)
+    tr = Tracker(cfg)
+    tr.step(0, [det(0, app=APP_A, cls=CLS_X)])
+    tr.step(1, [])
+    assert [t.status for t in tr.tracks] == [TrackStatus.DEAD]
+    wide_app, wide_cls = (0.0, 0.0, 0.0, 6.0), (0.0, 0.0, 1.0)
+    fa = tr.step(2, [det(2, app=wide_app, cls=wide_cls)])
+    assert fa.new_tracks == ((0, 2),)
+    fa = tr.step(3, [det(3, app=wide_app, cls=wide_cls)])
+    assert [tid for _, tid, _ in fa.matches] == [2]
+    assert tr.tracks[1].app_emb_smoothed.shape == (4,)
+
+
+def test_a_dimension_mismatch_against_a_live_pool_raises():
+    tr = Tracker()
+    tr.step(0, [det(0, app=APP_A, cls=CLS_X)])
+    with pytest.raises(ValueError, match="embedding dimension mismatch: 4 vs 3"):
+        tr.step(1, [det(1, app=(0.0, 0.0, 0.0, 6.0), cls=CLS_X)])
+    tr = Tracker()
+    tr.step(0, [det(0, app=APP_A, cls=CLS_X)])
+    with pytest.raises(ValueError, match="embedding dimension mismatch: 3 vs 2"):
+        tr.step(1, [det(1, app=APP_A, cls=(1.0, 0.0, 0.0))])
+
+
+def test_a_bank_dimension_mismatch_raises_classify_detections_message():
+    bank = two_split_bank()
+    wide = det(0, app=APP_A, cls=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError) as expected:
+        classify_detection(wide.cls_emb, bank)
+    with pytest.raises(ValueError) as got:
+        Tracker(bank=bank).step(0, [wide])
+    assert str(got.value) == str(expected.value)

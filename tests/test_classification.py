@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letrack.association import Diagnostics
 from letrack.classification import (
     CategoryBank,
     CategoryEntry,
     classify_detection,
+    nearest_prototypes,
     track_label,
     vote,
     vote_fraction,
@@ -127,6 +130,106 @@ def test_classify_rejects_empty_bank_and_dim_mismatch():
         classify_detection(np.ones(2), CategoryBank([]))
     with pytest.raises(ValueError, match="dimension"):
         classify_detection(np.ones(3), two_split_bank())
+
+
+# ---------------------------------------------------------------------------
+# batched nearest prototype
+
+
+def _labels_with_fallback(embs: np.ndarray, bank: CategoryBank, diag: Diagnostics) -> list[int]:
+    """The tracker's use of ``nearest_prototypes``: undecided rows go through
+    ``classify_detection``."""
+    labels, decided = nearest_prototypes(embs, bank)
+    for k in np.flatnonzero(~decided):
+        labels[k], _ = classify_detection(embs[k], bank, diag)
+    return labels
+
+
+def _bank(protos) -> CategoryBank:
+    return CategoryBank(
+        [CategoryEntry(c + 1, f"c{c + 1}", "common", np.asarray(p)) for c, p in enumerate(protos)]
+    )
+
+
+def test_nearest_prototypes_decides_separated_rows():
+    bank = _bank(np.eye(3))
+    embs = np.array([[0.9, 0.1, 0.0], [0.0, -2.0, 5.0], [0.2, 0.7, 0.1]])
+    labels, decided = nearest_prototypes(embs, bank)
+    assert labels == [1, 3, 2]
+    assert decided.tolist() == [True, True, True]
+    assert isinstance(labels[0], int)
+
+
+def test_nearest_prototypes_leaves_ties_zero_rows_and_extreme_norms():
+    bank = _bank(np.eye(2))
+    tie, near_tie = [1.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]
+    embs = np.array([tie, near_tie, [0.0, 0.0], [2.0**-510, 0.0], [2.0**510, 0.0], [3.0, 1.0]])
+    labels, decided = nearest_prototypes(embs, bank)
+    assert decided.tolist() == [False, False, False, False, False, True]
+    assert labels[-1] == 1
+    diag = Diagnostics()
+    assert _labels_with_fallback(embs, bank, diag) == [1, 2, 1, 1, 1, 1]
+    assert diag.zero_norm_cls_emb == 1
+
+
+def test_nearest_prototypes_leaves_every_row_of_a_wrong_dimension_or_empty_bank():
+    for bank in (two_split_bank(3), CategoryBank([])):
+        labels, decided = nearest_prototypes(np.ones((4, 2)), bank)
+        assert not decided.any() and len(labels) == 4
+
+
+# Norms past both ends of the batched range; the largest keeps every sum of
+# squares finite, since classify_detection itself warns on overflow.
+_SCALES = [1.0, 1e-5, 1e5, 1e150, 2.0**505, 1e-160, 2.0**-520, 1e-200]
+
+
+def _nudge(p: np.ndarray, data) -> np.ndarray:
+    """``p`` with one component moved by 1 to 4 ulp."""
+    q = p.copy()
+    i = data.draw(st.integers(0, len(q) - 1))
+    toward = data.draw(st.sampled_from([np.inf, -np.inf]))
+    for _ in range(data.draw(st.integers(1, 4))):
+        q[i] = np.nextafter(q[i], toward)
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_nearest_prototypes_with_fallback_matches_classify_detection(data):
+    dim = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def fresh() -> np.ndarray:
+        v = rng.normal(size=dim)
+        return v / np.linalg.norm(v)
+
+    protos = [fresh()]
+    for _ in range(data.draw(st.integers(0, 5))):
+        kind = data.draw(st.sampled_from(["fresh", "copy", "ulp"]))
+        base = protos[data.draw(st.integers(0, len(protos) - 1))]
+        protos.append(fresh() if kind == "fresh" else base.copy() if kind == "copy" else _nudge(base, data))
+    order = data.draw(st.permutations(range(len(protos))))
+    bank = _bank([protos[i] for i in order])
+
+    rows = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(["proto", "between", "near", "random", "zero"]))
+        a, b = (protos[data.draw(st.integers(0, len(protos) - 1))] for _ in range(2))
+        row = {
+            "proto": a,
+            "between": a + b,  # exactly tied between a and b, if both are unit
+            "near": _nudge(a, data),
+            "random": rng.normal(size=dim),
+            "zero": np.zeros(dim),
+        }[kind]
+        rows.append(row * data.draw(st.sampled_from(_SCALES)))
+    embs = np.array(rows)
+
+    got_diag, want_diag = Diagnostics(), Diagnostics()
+    got = _labels_with_fallback(embs, bank, got_diag)
+    want = [classify_detection(row, bank, want_diag)[0] for row in embs]
+    assert got == want
+    assert got_diag == want_diag
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,20 @@ def test_validate_strict_vs_lax(tmp_path, capsys):
     assert "warning:" in err and "unknown field" in err
 
 
+def test_validate_lists_a_huge_frame_count_of_an_empty_sequence(tmp_path, capsys):
+    # With no detections the frame indices are an empty array; it must still
+    # compare with a num_frames past double range.
+    p = tmp_path / "dets.json"
+    p.write_text(
+        '{"sequences": [{"name": "a", "height": 4, "width": 4, "num_frames": 1' + "0" * 400
+        + ', "frames": []}]}\n'
+    )
+    assert main(["validate", "--file", str(p), "--kind", "detections"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sequences[0]: meta: num_frames must be <= 2**63 - 1, got {10**400}"
+    ]
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     rc = main(
         ["track", "--detections", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.json")]

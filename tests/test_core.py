@@ -30,6 +30,16 @@ def test_meta_violations():
     assert any("num_frames" in s for s in issues)
 
 
+def test_frame_count_must_fit_an_int64_with_or_without_detections():
+    for dets in ([], [det(0)]):
+        assert validate_sequence(meta(n=2**63 - 1), dets) == []
+        assert validate_sequence(meta(n=10**400), dets) == [
+            f"meta: num_frames must be <= 2**63 - 1, got {10**400}"
+        ]
+    (issue,) = validate_sequence(meta(n=10**5000), [])
+    assert issue == "meta: num_frames must be <= 2**63 - 1, got an integer of 16610 bits"
+
+
 def test_frame_index_out_of_range():
     issues = validate_sequence(meta(n=3), [det(3)])
     assert len(issues) == 1
