@@ -17,7 +17,6 @@ from .association import (
     cem_gate,
     run_sequence,
     track_sequence,
-    update_embedding,
 )
 from .classification import (
     SPLITS,
@@ -131,7 +130,6 @@ __all__ = [
     "save_tracks",
     "track_label",
     "track_sequence",
-    "update_embedding",
     "validate_rle",
     "validate_sequence",
     "vote",

@@ -54,7 +54,6 @@ __all__ = [
     "cem_gate",
     "run_sequence",
     "track_sequence",
-    "update_embedding",
 ]
 
 
@@ -170,13 +169,6 @@ def cem_gate(
 
 def _ema(smoothed: np.ndarray, incoming: np.ndarray, momentum: float) -> np.ndarray:
     return (1.0 - momentum) * smoothed + momentum * incoming
-
-
-def update_embedding(track: TrackState, det: Detection, momentum: float) -> np.ndarray:
-    """EMA of the track's smoothed appearance embedding with the detection's."""
-    if not (0.0 <= momentum <= 1.0):
-        raise ValueError(f"momentum must be in [0, 1], got {momentum}")
-    return _ema(track.app_emb_smoothed, np.asarray(det.app_emb, dtype=np.float64), momentum)
 
 
 class Tracker:

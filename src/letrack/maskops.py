@@ -10,17 +10,18 @@ Masks are held as plain integer runs.  COCO's compressed string form of
 the same runs (as stored in BURST annotation files) is read by
 ``rle_counts_from_string``; nothing here writes it.
 
-IoU is computed on bitmaps: each mask is decoded once and packed into
-64-bit words in column-major pixel order, and an intersection is the
-popcount of two masks' words ANDed together.  Intersection and union are
-exact integer pixel counts and the returned ratio is their exact float64
-quotient, which makes the result bit-identical to a brute-force bitmap
-computation.
+IoU is computed on bitmaps: a list of masks is packed once into rows of
+64-bit words in column-major pixel order, and the IoU of index pairs of
+rows is one pass of exact popcounts of ANDed rows, both in chunks of at
+most ``_CHUNK_BYTES``.  Intersection and union are exact integer pixel
+counts and the returned ratio is their exact float64 quotient, which makes
+the result bit-identical to a brute-force bitmap computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -38,6 +39,10 @@ __all__ = [
     "rle_encode",
     "validate_rle",
 ]
+
+# Bytes of pixels decoded, or of words per side ANDed, at once; the pool
+# build packs about this much of masks per pass.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -147,34 +152,76 @@ def rle_counts_from_string(s: str) -> list[int]:
     return counts
 
 
-def _pack(masks: list[RleMask], total: int) -> np.ndarray:
-    """Bitmaps of same-size masks as rows of uint64 words, zero-padded."""
-    block = np.zeros((len(masks), -(-total // 64) * 64), dtype=bool)
-    for row, mask in zip(block, masks):
-        row[:total] = _decode_flat(mask)
-    return np.packbits(block, axis=1).view(np.uint64)
+def _pack(masks: list[RleMask]) -> np.ndarray:
+    """Column-major bitmaps of masks as rows of uint64 words, zero-padded to
+    the widest mask (at least one word).
+
+    Each mask's runs get an empty ones run if their count is odd, then its
+    padding as a zero run and an empty ones run: every mask starts on an even
+    run, so a chunk of rows, at most ``_CHUNK_BYTES`` of pixels, is one
+    ``np.repeat`` of one parity pattern.
+    """
+    totals = [h * w for h, w in (mask.size for mask in masks)]
+    bits = max(1, -(-max(totals, default=0) // 64)) * 64
+    tails = [(0,) * (len(mask.counts) % 2) + (bits - total, 0) for mask, total in zip(masks, totals)]
+    pieces = [piece for mask, tail in zip(masks, tails) for piece in (mask.counts, tail)]
+    lens = np.fromiter(map(len, pieces), np.int64, len(pieces)).reshape(-1, 2).sum(axis=1)
+    runs = np.fromiter(chain.from_iterable(pieces), np.int64, lens.sum())
+    end = np.cumsum(lens)
+    start = end - lens
+    for k in np.flatnonzero(np.add.reduceat(runs, start) != bits)[:1]:
+        _decode_flat(masks[k])  # raises the counts-sum ValueError
+    out = np.empty((len(masks), bits // 64), dtype=np.uint64)
+    step = max(1, _CHUNK_BYTES // bits)
+    for r0 in range(0, len(masks), step):
+        s, e = start[r0], end[min(r0 + step, len(masks)) - 1]
+        flat = np.repeat(np.tile((False, True), (e - s) // 2), runs[s:e]).reshape(-1, bits)
+        out[r0 : r0 + step] = np.packbits(flat, axis=1).view(np.uint64)
+    return out
+
+
+def _pair_iou(words: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Exact IoU of rows ``ia[k]`` and ``ib[k]`` of packed ``words``, each pair
+    two masks of one size.
+
+    A pair whose spans of nonzero words do not meet shares no pixel; the
+    others are ANDed and popcounted, ``_CHUNK_BYTES`` of words per side at a
+    time.  Both-empty pairs give 0.0.
+    """
+    nonzero = words != 0
+    area = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    first = nonzero.argmax(axis=1)
+    # An empty row's last word is -1, so its span meets none.
+    last = np.where(area > 0, words.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1), -1)
+    inter = np.zeros(len(ia), dtype=np.int64)
+    todo = np.flatnonzero((first[ia] <= last[ib]) & (first[ib] <= last[ia]))
+    step = max(1, _CHUNK_BYTES // (8 * words.shape[1]))
+    for k in (todo[k0 : k0 + step] for k0 in range(0, todo.size, step)):
+        inter[k] = np.bitwise_count(words[ia[k]] & words[ib[k]]).sum(axis=1)
+    union = area[ia] + area[ib] - inter
+    return np.divide(inter, union, out=np.zeros(len(ia)), where=union > 0)
+
+
+def _one_size(masks: list[RleMask]) -> tuple[int, int]:
+    """The size all masks share, (0, 0) for none; ValueError naming every
+    size when they differ."""
+    sizes = {tuple(mask.size) for mask in masks}
+    if len(sizes) > 1:
+        raise ValueError(f"mask size mismatch: {' vs '.join(map(str, sorted(sizes)))}")
+    return sizes.pop() if sizes else (0, 0)
 
 
 def mask_iou_matrix(masks_a: list[RleMask], masks_b: list[RleMask]) -> np.ndarray:
     """Pairwise mask IoU, shape (len(a), len(b)); every mask has one size.
 
-    Each side is decoded and packed once.  Intersections are exact integer
-    popcounts taken one row of ``a`` at a time, so the temporary holds
-    len(b) packed masks, never len(a) * len(b).  Both-empty pairs give 0.0.
+    Both sides are packed once, together, and the cross product goes through
+    the one pair pass: beyond the packed masks and arrays of the result's
+    size, no temporary exceeds ``_CHUNK_BYTES``.  Both-empty pairs give 0.0.
     """
-    sizes = {tuple(mask.size) for mask in [*masks_a, *masks_b]}
-    if len(sizes) > 1:
-        raise ValueError(f"mask size mismatch: {' vs '.join(map(str, sorted(sizes)))}")
-    h, w = sizes.pop() if sizes else (0, 0)
-    words_a, words_b = _pack(masks_a, h * w), _pack(masks_b, h * w)
-    area_a = np.bitwise_count(words_a).sum(axis=1, dtype=np.int64)
-    area_b = np.bitwise_count(words_b).sum(axis=1, dtype=np.int64)
-    out = np.zeros((len(masks_a), len(masks_b)), dtype=np.float64)
-    for i in range(len(masks_a)):
-        inter = np.bitwise_count(words_a[i] & words_b).sum(axis=1, dtype=np.int64)
-        union = area_a[i] + area_b - inter
-        np.divide(inter, union, out=out[i], where=union > 0)
-    return out
+    masks = [*masks_a, *masks_b]
+    _one_size(masks)
+    ia, ib = np.indices((len(masks_a), len(masks_b))).reshape(2, -1)
+    return _pair_iou(_pack(masks), ia, len(masks_a) + ib).reshape(len(masks_a), len(masks_b))
 
 
 def mask_iou(a: RleMask, b: RleMask) -> float:

@@ -14,12 +14,14 @@ detections FNs, leftover predictions FPs.
 
 A sequence's pool is flat: one entry per (frame, gt, pred) cell whose
 similarity is > 0, the only cells any alpha in (0, 1) can admit, each with
-the id of its (gt, pred) pair.  It is built from one frame index per side,
-frame -> that frame's (track, observation) pairs, over the frames both
-indexes hold.  Pass one is then one ``np.bincount`` over the pair ids of
+the id of its (gt, pred) pair.  It is built from one frame index per side
+over the frames both hold: box IoU frame by frame, then the mask IoU of
+every cell with two masks (in closed mode, of one category) in one pass
+per block of frames whose masks fill ``_CHUNK_BYTES`` packed, each mask
+packed once.  Pass one is then one ``np.bincount`` over the pair ids of
 the cells that reach alpha, and pass two one ``assign_cells`` call for all
 frames at once, rows keyed by (frame, gt) and columns by (frame, pred), so
-frames stay independent problems.
+frames stay independent.
 
 Association accuracy averages, over TPs, A(c) = TPA / (TPA + FNA + FPA).
 Every gt detection is a TP or an FN and every prediction a TP or an FP, so
@@ -52,7 +54,7 @@ import numpy as np
 from .assignment import assign_cells
 from .classification import SPLITS, CategoryBank
 from .io import SchemaError, SequenceTracks, TrackObservation, TrackRecord
-from .maskops import box_iou_matrix, mask_iou_matrix
+from .maskops import _CHUNK_BYTES, RleMask, _one_size, _pack, _pair_iou, box_iou_matrix
 from .parallel import map_ordered
 
 __all__ = [
@@ -149,9 +151,11 @@ def _build_pool(
     """Similarity of every (gt, pred) pair in each frame where both are present.
 
     Takes valid tracks (see ``_track_fault``) and sorts them by track id.
-    Only the cells with similarity > 0 are kept, as flat arrays.  With
-    ``same_category`` a pair whose category ids differ gets similarity 0,
-    below every alpha, so it never matches, nor counts as a box fallback.
+    Only the cells with similarity > 0 are kept, as flat arrays.  In mask
+    geometry a pair with two masks (one size per frame) gets their IoU, any
+    other a box fallback.  With ``same_category`` a pair whose category ids
+    differ gets similarity 0, below every alpha, so it never matches, nor
+    counts as a box fallback.
     """
     gt_tracks = sorted(gt_tracks, key=lambda t: t.track_id)
     pred_tracks = sorted(pred_tracks, key=lambda t: t.track_id)
@@ -169,6 +173,24 @@ def _build_pool(
     # An empty first part fixes the dtypes when no cell is kept.
     parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
     fallback = 0
+    # Mask geometry: a block of frames' kept cells, each with the rows of its
+    # masks (-1: none), and their masks in frame order.  A block is scored in
+    # one pass once its masks fill ``_CHUNK_BYTES`` packed.
+    block: list[tuple[np.ndarray, ...]] = []
+    masks: list[RleMask] = []
+    packed = 0
+
+    def score_block() -> None:
+        nonlocal packed
+        frame_of, g, p, sim, ra, rb = (np.concatenate(col) for col in zip(*block))
+        two = (ra >= 0) & (rb >= 0)
+        sim[two] = _pair_iou(_pack(masks), ra[two], rb[two])
+        keep = sim > 0.0
+        parts.append((frame_of[keep], g[keep], p[keep], sim[keep]))
+        block.clear()
+        masks.clear()
+        packed = 0
+
     for frame in sorted(gt_index.keys() & pred_index.keys()):
         g_idx, g_ob = zip(*gt_index[frame])
         p_idx, p_ob = zip(*pred_index[frame])
@@ -176,17 +198,27 @@ def _build_pool(
         p_arr = np.asarray(p_idx, np.int64)
         sim = box_iou_matrix([ob.box for ob in g_ob], [ob.box for ob in p_ob])
         same = gt_cat[g_arr][:, None] == pred_cat[p_arr] if same_category else np.True_
-        if geometry == "mask":
-            # Pairs where either side lacks a mask keep their box IoU.
-            g_m = [a for a, ob in enumerate(g_ob) if ob.mask is not None]
-            p_m = [b for b, ob in enumerate(p_ob) if ob.mask is not None]
-            block = np.ix_(g_m, p_m)
-            sim[block] = mask_iou_matrix([g_ob[a].mask for a in g_m], [p_ob[b].mask for b in p_m])
-            masked = np.zeros(sim.shape, dtype=bool)
-            masked[block] = True
-            fallback += int(np.count_nonzero(same & ~masked))
-        a, b = np.nonzero(same & (sim > 0.0))
-        parts.append((np.full(len(a), frame), g_arr[a], p_arr[b], sim[a, b]))
+        if geometry == "box":
+            a, b = np.nonzero(same & (sim > 0.0))
+            parts.append((np.full(len(a), frame), g_arr[a], p_arr[b], sim[a, b]))
+            continue
+        if packed >= _CHUNK_BYTES:
+            score_block()
+        h, w = _one_size([ob.mask for ob in (*g_ob, *p_ob) if ob.mask is not None])
+        rows = []
+        for obs in (g_ob, p_ob):
+            has = np.array([ob.mask is not None for ob in obs])
+            rows.append(np.where(has, np.cumsum(has) + (len(masks) - 1), -1))
+            masks += [ob.mask for ob in obs if ob.mask is not None]
+            packed += int(has.sum()) * -(-h * w // 64) * 8
+        g_row, p_row = rows
+        # Pairs where either side lacks a mask keep their box IoU.
+        masked = (g_row[:, None] >= 0) & (p_row >= 0)
+        fallback += int(np.count_nonzero(same & ~masked))
+        a, b = np.nonzero(same & (masked | (sim > 0.0)))
+        block.append((np.full(len(a), frame), g_arr[a], p_arr[b], sim[a, b], g_row[a], p_row[b]))
+    if block:
+        score_block()
     frame_of, g, p, sim = (np.concatenate(col) for col in zip(*parts))
     _, pair = np.unique(g * len(pred_tracks) + p, return_inverse=True)
     return _PoolData(

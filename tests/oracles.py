@@ -42,7 +42,7 @@ from letrack.io import (
     TrackObservation,
     TrackRecord,
 )
-from letrack.maskops import RleMask, box_iou, rle_encode
+from letrack.maskops import RleMask, box_iou, rle_decode, rle_encode
 from letrack.rng import SplitMix64
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ class ReferenceTracker:
 
 
 # ---------------------------------------------------------------------------
-# evaluation (one class-agnostic pool, box geometry)
+# evaluation: the pool cell by cell, and one class-agnostic pool's scores
 
 
 def _obs_by_frame(track) -> dict[int, object]:
@@ -435,6 +435,51 @@ def hota_oracle(gt_tracks, pred_tracks, alpha: float) -> dict:
         "ass_a": ass_a,
         "hota": math.sqrt(det_a * ass_a),
         "owta": math.sqrt(det_re * ass_a),
+    }
+
+
+def pool_reference(gt_tracks, pred_tracks, geometry: str, same_category: bool = False) -> dict:
+    """The evaluator's flat pool, cell by cell.
+
+    For each frame both sides hold and each (gt, pred) pair in it, tracks in
+    id order: mask IoU counted on the two ``rle_decode`` bitmaps when both
+    observations have a mask in mask geometry, else box IoU (a box fallback
+    in mask geometry).  With ``same_category`` a pair of different categories
+    is skipped.  Cells with similarity > 0 are kept, in frame then row-major
+    order; ``pair`` numbers the distinct (gt, pred) pairs in row-major order.
+    """
+    gt_tracks = sorted(gt_tracks, key=lambda t: t.track_id)
+    pred_tracks = sorted(pred_tracks, key=lambda t: t.track_id)
+    gt_obs = [_obs_by_frame(t) for t in gt_tracks]
+    pred_obs = [_obs_by_frame(t) for t in pred_tracks]
+    shared = set().union(*map(set, gt_obs)) & set().union(*map(set, pred_obs))
+    cells, fallback = [], 0
+    for frame in sorted(shared):
+        for g, g_obs in enumerate(gt_obs):
+            for p, p_obs in enumerate(pred_obs):
+                if frame not in g_obs or frame not in p_obs:
+                    continue
+                if same_category and gt_tracks[g].category_id != pred_tracks[p].category_id:
+                    continue
+                a, b = g_obs[frame], p_obs[frame]
+                if geometry == "mask" and a.mask is not None and b.mask is not None:
+                    bits_a, bits_b = rle_decode(a.mask), rle_decode(b.mask)
+                    inter = int(np.logical_and(bits_a, bits_b).sum())
+                    union = int(np.logical_or(bits_a, bits_b).sum())
+                    sim = inter / union if union else 0.0
+                else:
+                    fallback += geometry == "mask"
+                    sim = box_iou(a.box, b.box)
+                if sim > 0.0:
+                    cells.append((frame, g, p, sim))
+    pair_ids = {gp: k for k, gp in enumerate(sorted({(g, p) for _, g, p, _ in cells}))}
+    return {
+        "frame": [c[0] for c in cells],
+        "gt": [c[1] for c in cells],
+        "pred": [c[2] for c in cells],
+        "sim": [c[3] for c in cells],
+        "pair": [pair_ids[(g, p)] for _, g, p, _ in cells],
+        "box_fallback_pairs": fallback,
     }
 
 

@@ -13,7 +13,6 @@ from letrack.association import (
     cem_gate,
     run_sequence,
     track_sequence,
-    update_embedding,
 )
 from letrack.classification import classify_detection, track_label, vote_fraction
 from letrack.core import TrackState, TrackStatus
@@ -144,18 +143,14 @@ def test_cem_gate_nonpositive_threshold_passes_zero_sim():
 
 
 def test_update_embedding_frozen():
-    track = TrackState(
-        track_id=1,
-        app_emb_smoothed=np.array([1.0, 0.0]),
-        last_frame=0,
-        observations=[],
-    )
-    new = update_embedding(track, det(1, app=(0.0, 1.0)), momentum=0.5)
-    assert np.array_equal(new, np.array([0.5, 0.5]))
-    keep = update_embedding(track, det(1, app=(0.0, 1.0)), momentum=0.0)
-    assert np.array_equal(keep, np.array([1.0, 0.0]))
-    jump = update_embedding(track, det(1, app=(0.0, 1.0)), momentum=1.0)
-    assert np.array_equal(jump, np.array([0.0, 1.0]))
+    # A matched track's embedding becomes the EMA of its own and the
+    # detection's: one Tracker step per momentum.
+    for momentum, want in ((0.5, [0.5, 0.5]), (0.0, [1.0, 0.0]), (1.0, [0.0, 1.0])):
+        tr = Tracker(TrackerConfig(embedding_momentum=momentum))
+        tr.step(0, [det(0, app=(1.0, 0.0), objectness=0.9)])
+        fa = tr.step(1, [det(1, app=(0.0, 1.0))])
+        assert [(i, track_id) for i, track_id, _ in fa.matches] == [(0, 1)]
+        assert np.array_equal(tr.tracks[0].app_emb_smoothed, np.array(want))
 
 
 # ---------------------------------------------------------------------------

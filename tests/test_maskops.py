@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from letrack import maskops
 from letrack.core import BBox
 from letrack.maskops import (
     RleMask,
+    _decode_flat,
+    _pack,
+    _pair_iou,
     box_iou,
     box_iou_matrix,
     mask_iou,
@@ -161,6 +165,85 @@ def test_mask_iou_matrix_size_mismatch_anywhere():
 def test_mask_iou_matrix_zero_pixel_size_is_zero():
     e = RleMask((0, 5), ())
     assert mask_iou_matrix([e, e], [e]).tolist() == [[0.0], [0.0]]
+
+
+# ---------------------------------------------------------------------------
+# batched pack and the pair pass
+
+
+def _pack_reference(masks):
+    """Each mask decoded alone, zero-padded to the widest, then np.packbits."""
+    bits = max(1, -(-max((h * w for h, w in (m.size for m in masks)), default=0) // 64)) * 64
+    rows = [np.pad(_decode_flat(m), (0, bits - m.size[0] * m.size[1])) for m in masks]
+    return np.packbits(np.array(rows, dtype=bool).reshape(len(masks), bits), axis=1).view(np.uint64)
+
+
+def _run_patterns(h, w):
+    n = h * w
+    return [
+        RleMask((h, w), (n,)),  # empty
+        RleMask((h, w), (0, n)),  # full: a leading zero run
+        RleMask((h, w), (1,) * n),  # one run per pixel, first pixel clear
+        RleMask((h, w), (0,) + (1,) * n),  # one run per pixel, first pixel set
+        RleMask((h, w), (n - 1, 1)),  # last pixel only
+        RleMask((h, w), (0, 1, n - 1)),  # first pixel only
+    ]
+
+
+def test_pack_matches_per_mask_decode_and_packbits():
+    masks = _run_patterns(7, 9) + _run_patterns(3, 5) + [RleMask((0, 5), ())] + _run_patterns(9, 8)
+    for part in (masks, _run_patterns(7, 9), [RleMask((0, 5), ())], []):
+        assert np.array_equal(_pack(part), _pack_reference(part))
+    assert _pack([RleMask((0, 5), ()), RleMask((5, 0), ())]).tolist() == [[0], [0]]
+
+
+def test_pack_crosses_chunk_boundaries():
+    h, w = 100, 100  # 157 words a row
+    rows_per_chunk = maskops._CHUNK_BYTES // (157 * 64)
+    rng = np.random.default_rng(16)
+    masks = [rle_encode(rng.random((h, w)) < rng.uniform(0.0, 1.0)) for _ in range(2 * rows_per_chunk + 3)]
+    masks[rows_per_chunk - 1 : rows_per_chunk + 1] = _run_patterns(h, w)[2:4]  # around the boundary
+    assert np.array_equal(_pack(masks), _pack_reference(masks))
+    # The cross product is larger than one chunk of pairs too.
+    grids = np.array([rle_decode(m).reshape(-1) for m in masks], dtype=np.int64)
+    inter = grids @ grids.T
+    union = grids.sum(axis=1)[:, None] + grids.sum(axis=1) - inter
+    assert len(masks) ** 2 > maskops._CHUNK_BYTES // (157 * 8)
+    assert mask_iou_matrix(masks, masks).tolist() == (inter / union).tolist()
+
+
+def test_pack_counts_sum_mismatch_names_the_first_bad_mask():
+    good, bad = RleMask((2, 2), (0, 4)), RleMask((2, 3), (1, 2))
+    with pytest.raises(ValueError, match=r"^rle decode: counts sum to 3 pixels, expected 6 for size \(2, 3\)$"):
+        _pack([good, bad, RleMask((2, 2), (5,))])
+
+
+def _span_mask(n, *ranges):
+    flat = np.zeros(n, dtype=bool)
+    for lo, hi in ranges:
+        flat[lo:hi] = True
+    return rle_encode(flat.reshape(1, n))
+
+
+def test_pair_iou_prescreen_touching_and_missing_spans():
+    # One row of 192 pixels: words 0, 1 and 2 hold pixels 0-63, 64-127, 128-191.
+    n = 192
+    masks = [
+        _span_mask(n, (0, 64)),  # word 0
+        _span_mask(n, (64, 128)),  # word 1: spans just miss word 0's
+        _span_mask(n, (0, 65)),  # words 0-1: touches word 1 and shares pixel 64
+        _span_mask(n, (60, 66)),  # words 0-1: touches (66, 70) in word 1, no shared pixel
+        _span_mask(n, (66, 70)),  # word 1
+        _span_mask(n, (127, 128)),  # last pixel of word 1
+        _span_mask(n, (128, 129)),  # first pixel of word 2: just misses the one above
+        _span_mask(n, (0, 1), (191, 192)),  # words 0-2, nothing between
+        _span_mask(n),  # empty: its span meets none
+    ]
+    ia, ib = np.indices((len(masks), len(masks))).reshape(2, -1)
+    got = _pair_iou(_pack(masks), ia, ib)
+    want = [brute_iou(rle_decode(masks[i]), rle_decode(masks[j])) for i, j in zip(ia, ib)]
+    assert got.tolist() == want
+    assert got[1 * len(masks) + 2] == 1 / 128 and got[3 * len(masks) + 4] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,10 +9,13 @@ from hypothesis import strategies as st
 
 from letrack.classification import CategoryBank, CategoryEntry
 from letrack.io import SchemaError, SequenceTracks, TrackObservation, TrackRecord, dumps_canonical
-from letrack.maskops import mask_to_box, rle_encode
+from letrack import metrics
+from letrack.core import BBox
+from letrack.maskops import RleMask, mask_iou_matrix, mask_to_box, rle_encode
 from letrack.metrics import (
     DEFAULT_ALPHAS,
     EvalConfig,
+    _build_pool,
     evaluate,
     hota_alpha,
     match_frames,
@@ -18,7 +23,7 @@ from letrack.metrics import (
 from letrack.rng import SplitMix64
 
 from helpers import box_track, meta, seq_tracks, two_split_bank
-from oracles import hota_oracle
+from oracles import hota_oracle, pool_reference, rect_mask_reference
 
 BOX = (0, 0, 10, 10)
 FAR = (40, 40, 10, 10)
@@ -555,6 +560,124 @@ def _draw_tracks(data, label, n_cats, min_size):
             box_track(tid, [(f, data.draw(_CROWDED_BOX)) for f in sorted(frames)], category_id=cat)
         )
     return out
+
+
+# One size per frame; no h * w is a multiple of 64, and the word counts
+# differ (1, 1, 2, 3), so a sequence's masks pad to the widest.
+_FRAME_SIZES = ((3, 5), (7, 9), (9, 8), (13, 11))
+
+
+def _draw_mask(data, size):
+    kind = data.draw(st.sampled_from(["none", "empty", "full", "random", "random"]))
+    if kind == "none":
+        return None
+    if kind == "random":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        return rle_encode(rng.random(size) < rng.uniform(0.0, 1.0))
+    return rle_encode(np.full(size, kind == "full"))
+
+
+def _draw_masked_tracks(data, label, sizes, min_size):
+    out = []
+    for tid in range(1, data.draw(st.integers(min_size, 3), label=f"{label} tracks") + 1):
+        # Frames from 0..5 with gaps.
+        frames = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+        obs = [
+            TrackObservation(
+                frame=f, box=BBox(*map(float, data.draw(_CROWDED_BOX))), mask=_draw_mask(data, sizes[f])
+            )
+            for f in sorted(frames)
+        ]
+        out.append(TrackRecord(track_id=tid, observations=obs, category_id=data.draw(st.integers(1, 2))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_build_pool_matches_cell_by_cell_reference(data):
+    sizes = data.draw(st.lists(st.sampled_from(_FRAME_SIZES), min_size=6, max_size=6), label="sizes")
+    gt = _draw_masked_tracks(data, "gt", sizes, 1)
+    pred = _draw_masked_tracks(data, "pred", sizes, 0)
+    geometry = data.draw(st.sampled_from(["mask", "mask", "box"]), label="geometry")
+    # 8 bytes scores each frame alone; the default, up to 256 KiB of masks.
+    block_bytes = data.draw(st.sampled_from([8, metrics._CHUNK_BYTES]), label="block bytes")
+    for same_category in (False, True):  # open mode, closed mode
+        with mock.patch.object(metrics, "_CHUNK_BYTES", block_bytes):
+            pool = _build_pool(gt, pred, geometry, same_category)
+        want = pool_reference(gt, pred, geometry, same_category)
+        for key in ("frame", "gt", "pred", "sim", "pair"):
+            got = getattr(pool, key)
+            assert got.dtype == (np.float64 if key == "sim" else np.int64), key
+            assert got.tolist() == want[key], key  # exact, floats included
+        assert pool.box_fallback_pairs == want["box_fallback_pairs"]
+
+
+def _one_mask_track(track_id, frame_masks, category_id=1):
+    obs = [TrackObservation(frame=f, box=BBox(0.0, 0.0, 2.0, 2.0), mask=m) for f, m in frame_masks]
+    return TrackRecord(track_id=track_id, observations=obs, category_id=category_id)
+
+
+def test_build_pool_sizes_may_differ_across_frames_not_within_one():
+    small, big = RleMask((2, 2), (0, 4)), RleMask((3, 3), (0, 9))
+    gt = [_one_mask_track(1, [(0, small), (1, big)])]
+    pred = [_one_mask_track(1, [(0, small), (1, big)])]
+    for same_category in (False, True):
+        pool = _build_pool(gt, pred, "mask", same_category)
+        assert pool.sim.tolist() == [1.0, 1.0] == pool_reference(gt, pred, "mask")["sim"]
+    message = "mask size mismatch: (2, 2) vs (3, 3)"
+    cases = [
+        # a gt and a pred mask of one frame
+        ([_one_mask_track(1, [(0, small)])], [_one_mask_track(1, [(0, big)])]),
+        # two gt masks of one frame, no pred mask there
+        ([_one_mask_track(1, [(0, small)]), _one_mask_track(2, [(0, big)])], [_one_mask_track(1, [(0, None)])]),
+        # a pair of two categories, which closed mode never scores
+        ([_one_mask_track(1, [(0, small)], 1)], [_one_mask_track(1, [(0, big)], 2)]),
+    ]
+    for gt, pred in cases:
+        for same_category in (False, True):
+            with pytest.raises(ValueError) as err:
+                _build_pool(gt, pred, "mask", same_category)
+            assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        mask_iou_matrix([small], [small, big])
+    assert str(err.value) == message
+
+
+def test_build_pool_counts_sum_mismatch_keeps_the_decode_message():
+    bad = RleMask((2, 2), (1, 2))
+    message = "rle decode: counts sum to 3 pixels, expected 4 for size (2, 2)"
+    good = RleMask((2, 2), (0, 4))
+    for gt_mask, pred_mask in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError) as err:
+            _build_pool([_one_mask_track(1, [(0, gt_mask)])], [_one_mask_track(1, [(0, pred_mask)])], "mask")
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            mask_iou_matrix([gt_mask], [pred_mask])
+        assert str(err.value) == message
+
+
+def test_build_pool_packs_a_block_of_masks_not_the_whole_sequence():
+    # 160 masks of 720 x 1280 pack to 18 MB; the pool build holds a block of
+    # about 256 KiB of them at a time, plus one frame's.
+    h, w = 720, 1280
+
+    def track(track_id, x0):
+        obs = [
+            TrackObservation(frame=f, box=BBox(x0, 100.0, 200.0, 300.0),
+                             mask=rect_mask_reference(h, w, x0 + f, 100, 200, 300))
+            for f in range(40)
+        ]
+        return TrackRecord(track_id=track_id, observations=obs, category_id=1)
+
+    gt, pred = [track(1, 100), track(2, 600)], [track(1, 110), track(2, 610)]
+    tracemalloc.start()
+    try:
+        pool = _build_pool(gt, pred, "mask")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert pool.sim.tolist() == pool_reference(gt, pred, "mask")["sim"]
 
 
 @settings(max_examples=120, deadline=None)
