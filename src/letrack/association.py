@@ -34,7 +34,7 @@ import numpy as np
 
 from .assignment import hungarian_max
 from .classification import (
-    CategoryBank, classify_detection, nearest_prototypes, track_label, vote, vote_fraction,
+    CategoryBank, classify_detection, nearest_prototypes, track_label, unit_rows, vote, vote_fraction,
 )
 from .core import Detection, InternalInvariantError, SequenceMeta, TrackState, TrackStatus
 from .io import (
@@ -158,12 +158,9 @@ def cem_gate(
         return np.zeros((n, m), dtype=bool)
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"embedding dimension mismatch: {q.shape[1]} vs {k.shape[1]}")
-    qn = np.linalg.norm(q, axis=1)
-    kn = np.linalg.norm(k, axis=1)
+    (qu, q_zero), (ku, k_zero) = unit_rows(q), unit_rows(k)
     if diagnostics is not None:
-        diagnostics.zero_norm_cls_emb += int((qn == 0.0).sum()) + int((kn == 0.0).sum())
-    qu = np.divide(q, qn[:, None], out=np.zeros_like(q), where=qn[:, None] > 0.0)
-    ku = np.divide(k, kn[:, None], out=np.zeros_like(k), where=kn[:, None] > 0.0)
+        diagnostics.zero_norm_cls_emb += int(q_zero.sum()) + int(k_zero.sum())
     return (qu @ ku.T) >= threshold
 
 

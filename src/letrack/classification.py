@@ -24,6 +24,7 @@ __all__ = [
     "classify_detection",
     "nearest_prototypes",
     "track_label",
+    "unit_rows",
     "vote",
     "vote_fraction",
 ]
@@ -120,6 +121,21 @@ class CategoryBank:
         return self._matrix
 
 
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A vector or each matrix row over its norm (0 or NaN: left zero), and whether the norm is 0;
+    a norm outside (2**-500, 2**500) is retaken after an exact power-of-two scale of its row."""
+    axis = 1 if x.ndim == 2 else None
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(x, axis=axis, keepdims=True)
+        if 2.0**-500 < norm.min(initial=1.0) and norm.max(initial=1.0) < 2.0**500:
+            return x / norm, norm == 0.0
+        odd = ~((norm > 2.0**-500) & (norm < 2.0**500))
+        _, e = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))
+        x = np.ldexp(x, np.where(odd, -e, 0))
+        norm = np.linalg.norm(x, axis=axis, keepdims=True)
+    return np.divide(x, norm, out=np.zeros_like(x), where=norm > 0.0), norm == 0.0
+
+
 def classify_detection(
     cls_emb: np.ndarray,
     bank: CategoryBank,
@@ -139,12 +155,12 @@ def classify_detection(
         raise ValueError(
             f"cls_emb has shape {emb.shape}, bank prototypes have dimension {protos.shape[1]}"
         )
-    norm = float(np.linalg.norm(emb))
-    if norm == 0.0:
+    unit, zero = unit_rows(emb)
+    if zero[0]:
         if diagnostics is not None:
             diagnostics.zero_norm_cls_emb += 1
         return int(ids[0]), 0.0
-    sims = protos @ (emb / norm)
+    sims = protos @ unit
     best = int(np.argmax(sims))  # first maximum = smallest id, ids are sorted
     return int(ids[best]), float(sims[best])
 

@@ -240,24 +240,20 @@ def box_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def box_iou_matrix(boxes_a: list[BBox], boxes_b: list[BBox]) -> np.ndarray:
-    """Pairwise open-interval box IoU, shape (len(a), len(b))."""
-    n, m = len(boxes_a), len(boxes_b)
-    if n == 0 or m == 0:
-        return np.zeros((n, m), dtype=np.float64)
-    a = np.array([bb.as_tuple() for bb in boxes_a], dtype=np.float64)
-    b = np.array([bb.as_tuple() for bb in boxes_b], dtype=np.float64)
-    ax1, ay1 = a[:, 0], a[:, 1]
+def box_iou_matrix(boxes_a: list[BBox] | np.ndarray, boxes_b: list[BBox] | np.ndarray) -> np.ndarray:
+    """Pairwise open-interval box IoU, shape (len(a), len(b)).  A side is a list of
+    boxes or, as the evaluator passes it, an (n, 4) float array of (x, y, w, h) rows."""
+    a, b = (
+        v if isinstance(v, np.ndarray) else np.array([bb.as_tuple() for bb in v], np.float64).reshape(-1, 4)
+        for v in (boxes_a, boxes_b)
+    )
     ax2, ay2 = a[:, 0] + a[:, 2], a[:, 1] + a[:, 3]
-    bx1, by1 = b[:, 0], b[:, 1]
     bx2, by2 = b[:, 0] + b[:, 2], b[:, 1] + b[:, 3]
-    ix = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])
-    iy = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :])
+    ix = np.minimum(ax2[:, None], bx2) - np.maximum(a[:, 0, None], b[:, 0])
+    iy = np.minimum(ay2[:, None], by2) - np.maximum(a[:, 1, None], b[:, 1])
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[:, 2] * a[:, 3])[:, None]
-    area_b = (b[:, 2] * b[:, 3])[None, :]
-    union = area_a + area_b - inter
-    out = np.zeros((n, m), dtype=np.float64)
+    union = (a[:, 2] * a[:, 3])[:, None] + b[:, 2] * b[:, 3] - inter
+    out = np.zeros(union.shape)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
 

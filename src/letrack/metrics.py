@@ -53,7 +53,7 @@ import numpy as np
 
 from .assignment import assign_cells
 from .classification import SPLITS, CategoryBank
-from .io import SchemaError, SequenceTracks, TrackObservation, TrackRecord
+from .io import SchemaError, SequenceTracks, TrackRecord
 from .maskops import _CHUNK_BYTES, RleMask, _one_size, _pack, _pair_iou, box_iou_matrix
 from .parallel import map_ordered
 
@@ -162,13 +162,17 @@ def _build_pool(
     if same_category:
         gt_cat = np.array([t.category_id for t in gt_tracks], dtype=np.int64)
         pred_cat = np.array([t.category_id for t in pred_tracks], dtype=np.int64)
-    # One frame index per side: frame -> [(track index, observation)].
-    gt_index: dict[int, list[tuple[int, TrackObservation]]] = {}
-    pred_index: dict[int, list[tuple[int, TrackObservation]]] = {}
-    for tracks, index in ((gt_tracks, gt_index), (pred_tracks, pred_index)):
-        for i, t in enumerate(tracks):
-            for ob in t.observations:
-                index.setdefault(ob.frame, []).append((i, ob))
+    # Per side, by row: observations, track indices, boxes; frame -> its rows.
+    sides = []
+    for tracks in (gt_tracks, pred_tracks):
+        obs = [ob for t in tracks for ob in t.observations]
+        index: dict[int, list[int]] = {}
+        for r, ob in enumerate(obs):
+            index.setdefault(ob.frame, []).append(r)
+        track = np.repeat(np.arange(len(tracks)), [len(t.observations) for t in tracks])
+        boxes = np.array([ob.box.as_tuple() for ob in obs], np.float64).reshape(-1, 4)
+        sides.append((obs, index, track, boxes))
+    (gt_obs, gt_index, gt_track, gt_box), (pred_obs, pred_index, pred_track, pred_box) = sides
 
     # An empty first part fixes the dtypes when no cell is kept.
     parts = [(np.zeros(0, np.int64),) * 3 + (np.zeros(0),)]
@@ -192,11 +196,9 @@ def _build_pool(
         packed = 0
 
     for frame in sorted(gt_index.keys() & pred_index.keys()):
-        g_idx, g_ob = zip(*gt_index[frame])
-        p_idx, p_ob = zip(*pred_index[frame])
-        g_arr = np.asarray(g_idx, np.int64)
-        p_arr = np.asarray(p_idx, np.int64)
-        sim = box_iou_matrix([ob.box for ob in g_ob], [ob.box for ob in p_ob])
+        g_at, p_at = np.array(gt_index[frame]), np.array(pred_index[frame])
+        g_arr, p_arr = gt_track[g_at], pred_track[p_at]
+        sim = box_iou_matrix(gt_box[g_at], pred_box[p_at])
         same = gt_cat[g_arr][:, None] == pred_cat[p_arr] if same_category else np.True_
         if geometry == "box":
             a, b = np.nonzero(same & (sim > 0.0))
@@ -204,6 +206,7 @@ def _build_pool(
             continue
         if packed >= _CHUNK_BYTES:
             score_block()
+        g_ob, p_ob = [gt_obs[r] for r in gt_index[frame]], [pred_obs[r] for r in pred_index[frame]]
         h, w = _one_size([ob.mask for ob in (*g_ob, *p_ob) if ob.mask is not None])
         rows = []
         for obs in (g_ob, p_ob):

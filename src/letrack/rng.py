@@ -15,13 +15,13 @@ whose stream is an implementation detail.  This module pins the generator:
   ``sqrt(-2 * ln(1 - u1)) * cos(2 * pi * u2)``.  The sine branch is
   discarded; no pair caching, so the mapping from state to value stream has
   no hidden mode.
-* Gaussian blocks: ``gauss_vec(n)`` returns exactly what n ``gauss()`` calls
-  would.  splitmix64 is counter-based (word i is the mix of
-  ``seed + i * gamma mod 2**64``), so the 2n words and their uniforms are
-  computed in one numpy uint64 pass.  The log, cos and sqrt stay libm calls
-  (``math``) per element: numpy's vectorized ``np.log`` may differ from
-  ``math.log`` in the last bit (on an AVX-512 host with numpy 2.4 it did on
-  1,421 of 400,000 draws), and ``np.cos`` carries no such guarantee either.
+* Gaussian blocks: row k of ``gauss_blocks(starts, n)`` is what n ``gauss()``
+  calls from state ``starts[k]`` return (``gauss_vec(n)``: one row).  Word i
+  is the mix of ``state + i * gamma mod 2**64``, so a caller may ``skip`` a
+  block now and compute it later, all blocks in one uint64 pass.  log and cos
+  stay libm (``math``) calls: ``np.log`` differed from ``math.log`` in the last
+  bit on 1,421 of 400,000 draws (AVX-512, numpy 2.4), and ``np.cos`` has no
+  guarantee either.  ``np.sqrt`` is exact: IEEE sqrt is correctly rounded.
 
 Reference vectors (first four output words):
 
@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-__all__ = ["SplitMix64"]
+__all__ = ["SplitMix64", "gauss_blocks"]
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -46,6 +46,31 @@ _MIX2 = 0x94D049BB133111EB
 
 # 2**-53, the spacing of the uniform lattice.
 _U53 = 1.0 / (1 << 53)
+
+# Words per chunk of gauss_blocks, which bounds its temporaries (~1 MiB each).
+_CHUNK_WORDS = 1 << 17
+
+
+def gauss_blocks(starts: list[int], n: int) -> np.ndarray:
+    """Row k: the n ``gauss()`` draws of a generator in state ``starts[k]`` (its
+    state ramp wraps mod 2**64 as the scalar path does); shape (len(starts), n)."""
+    if n < 0:
+        raise ValueError(f"gauss blocks require n >= 0, got {n}")
+    starts = np.asarray(starts, dtype=np.uint64).reshape(-1, 1)
+    out = np.empty((len(starts), n))
+    # Array-only arithmetic: numpy wraps uint64 arrays silently but warns
+    # on scalar overflow.  Python int operands take the array's dtype.
+    ramp = np.arange(1, 2 * n + 1, dtype=np.uint64) * _GAMMA
+    step = max(1, _CHUNK_WORDS // max(2 * n, 1))
+    for i in range(0, len(starts), step):
+        z = ramp + starts[i : i + step]
+        z = (z ^ (z >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
+        u = ((z ^ (z >> 31)) >> 11).astype(np.float64) * _U53
+        log = np.fromiter(map(math.log, (1.0 - u[:, 0::2]).ravel().tolist()), np.float64)
+        cos = np.fromiter(map(math.cos, ((2.0 * math.pi) * u[:, 1::2]).ravel().tolist()), np.float64)
+        out[i : i + step] = (np.sqrt(-2.0 * log) * cos).reshape(len(z), n)
+    return out
 
 
 class SplitMix64:
@@ -90,30 +115,16 @@ class SplitMix64:
         return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
 
     def gauss_vec(self, n: int) -> np.ndarray:
-        """n independent standard normal draws, in stream order.
+        """n ``gauss()`` draws, bit for bit, as one ``gauss_blocks`` row."""
+        block = gauss_blocks([self._state], n)[0]
+        self.skip(2 * n)
+        return block
 
-        Equal bit for bit to n ``gauss()`` calls, and leaves the state where
-        they would.  The 2n words come from one uint64 array pass (the
-        state ramp wraps mod 2**64 as the scalar path does); log, cos and
-        sqrt stay libm calls per element.
-        """
-        if n < 0:
-            raise ValueError(f"gauss_vec requires n >= 0, got {n}")
+    def skip(self, words: int) -> int:
+        """Move the state past ``words`` output words; return the state before."""
         start = self._state
-        self._state = (start + 2 * n * _GAMMA) & _MASK64
-        # Array-only arithmetic: numpy wraps uint64 arrays silently but warns
-        # on scalar overflow.  Python int operands take the array's dtype.
-        z = np.arange(1, 2 * n + 1, dtype=np.uint64) * _GAMMA + start
-        z = (z ^ (z >> 30)) * _MIX1
-        z = (z ^ (z >> 27)) * _MIX2
-        u = ((z ^ (z >> 31)) >> 11).astype(np.float64) * _U53
-        one_minus_u1 = (1.0 - u[0::2]).tolist()
-        angle = ((2.0 * math.pi) * u[1::2]).tolist()
-        log, cos, sqrt = math.log, math.cos, math.sqrt
-        return np.array(
-            [sqrt(-2.0 * log(a)) * cos(b) for a, b in zip(one_minus_u1, angle)],
-            dtype=np.float64,
-        )
+        self._state = (start + words * _GAMMA) & _MASK64
+        return start
 
     def unit_vector(self, dim: int) -> np.ndarray:
         """Random direction: normalized Gaussian vector.

@@ -16,13 +16,15 @@ Draw order (any change here is a format break):
    vy each ``uniform_in(-2, 2)``.
 3. Per frame ascending, per track ascending: one uniform (the detection is
    emitted iff it is ``>= p_drop``); if emitted, four jitter gaussians, then
-   ``app_emb_dim`` noise gaussians, then ``cls_emb_dim`` noise gaussians
-   (taken as one ``gauss_vec`` block and sliced, which is the same stream).
+   ``app_emb_dim`` noise gaussians, then ``cls_emb_dim`` noise gaussians.
    The noise draws happen even when the sigmas are zero, so the stream
-   position never depends on the noise settings.  After the real tracks,
-   one uniform per spurious slot (``num_tracks`` slots, each firing with
-   probability ``p_fp / num_tracks``); a firing slot draws a random box,
-   a unit appearance vector, a unit class vector, and an objectness
+   position never depends on the noise settings.  No draw depends on a noise
+   value, so the loop skips each block's words, noting its start, and one
+   ``gauss_blocks`` pass computes them after it: the stream is unchanged,
+   only when its values are computed moves.  After the real tracks, one
+   uniform per spurious slot (``num_tracks`` slots, each firing with
+   probability ``p_fp / num_tracks``); a firing slot draws a random box, a
+   unit appearance vector, a unit class vector, and an objectness
    ``uniform_in(0.3, 0.8)``.
 
 Appearance identities are scaled to norm ``APP_EMB_SCALE`` rather than unit
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
@@ -58,7 +61,7 @@ from .io import (
     config_from_mapping,
 )
 from .maskops import RleMask
-from .rng import SplitMix64
+from .rng import SplitMix64, gauss_blocks
 
 __all__ = [
     "APP_EMB_SCALE",
@@ -207,6 +210,13 @@ def _position(body: _Body, frame: int, cfg: SynthConfig) -> tuple[int, int]:
     return int(math.floor(x + 0.5)), int(math.floor(y + 0.5))
 
 
+def _jitter_boxes(gt: np.ndarray, jitter: np.ndarray, sigma: float) -> np.ndarray:
+    """Rows ``gt + jitter * sigma`` of (x, y, w, h), w and h as ``max(v, 0.0)``."""
+    box = gt + jitter * sigma
+    box[:, 2:] = np.where(box[:, 2:] < 0.0, 0.0, box[:, 2:])
+    return box
+
+
 def generate(cfg: SynthConfig) -> SynthResult:
     """One synthetic sequence; see the module docstring for the draw order."""
     rng = SplitMix64(cfg.seed)
@@ -229,44 +239,27 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
     bodies = [_draw_body(rng, cfg) for _ in range(cfg.num_tracks)]
 
+    width = 4 + cfg.app_emb_dim + cfg.cls_emb_dim
     gt_obs: list[list[TrackObservation]] = [[] for _ in bodies]
-    frames: list[FrameDetections] = []
+    # Per kept detection: the stream state before its noise block, and its
+    # (track, gt x, y, w, h).  Per frame: its kept count and spurious list.
+    starts, kept, per_frame = [], [], []
     for t in range(cfg.num_frames):
-        dets: list[Detection] = []
+        n_kept = len(kept)
         for k, body in enumerate(bodies):
             xi, yi = _position(body, t, cfg)
-            gt_box = BBox(float(xi), float(yi), float(body.w), float(body.h))
             gt_obs[k].append(
                 TrackObservation(
                     frame=t,
-                    box=gt_box,
+                    box=BBox(float(xi), float(yi), float(body.w), float(body.h)),
                     mask=_rect_mask(cfg.frame_height, cfg.frame_width, xi, yi, body.w, body.h),
                 )
             )
-            if rng.uniform() < cfg.p_drop:
-                continue
-            noise = rng.gauss_vec(4 + cfg.app_emb_dim + cfg.cls_emb_dim)
-            jitter = noise[:4].tolist()
-            app_noise = noise[4 : 4 + cfg.app_emb_dim]
-            cls_noise = noise[4 + cfg.app_emb_dim :]
-            s = cfg.box_jitter_sigma
-            det_box = BBox(
-                gt_box.x + jitter[0] * s,
-                gt_box.y + jitter[1] * s,
-                max(gt_box.w + jitter[2] * s, 0.0),
-                max(gt_box.h + jitter[3] * s, 0.0),
-            )
-            dets.append(
-                Detection(
-                    frame_index=t,
-                    box=det_box,
-                    objectness=0.95,
-                    app_emb=body.identity + app_noise * cfg.app_noise_sigma,
-                    cls_emb=prototypes[body.category_id - 1]
-                    + cls_noise * cfg.cls_noise_sigma,
-                    mask=_rasterize(det_box, cfg.frame_height, cfg.frame_width),
-                )
-            )
+            if rng.uniform() >= cfg.p_drop:
+                # The noise never steers a draw: skip its words, compute it below.
+                starts.append(rng.skip(2 * width))
+                kept.append((k, xi, yi, body.w, body.h))
+        spurious = []
         for _ in range(cfg.num_tracks):
             if rng.uniform() >= cfg.p_fp / cfg.num_tracks:
                 continue
@@ -274,17 +267,31 @@ def generate(cfg: SynthConfig) -> SynthResult:
             app_emb = rng.unit_vector(cfg.app_emb_dim)
             cls_emb = rng.unit_vector(cfg.cls_emb_dim)
             objectness = rng.uniform_in(0.3, 0.8)
-            dets.append(
-                Detection(
-                    frame_index=t,
-                    box=BBox(float(x0), float(y0), float(w), float(h)),
-                    objectness=objectness,
-                    app_emb=app_emb,
-                    cls_emb=cls_emb,
-                    mask=_rect_mask(cfg.frame_height, cfg.frame_width, x0, y0, w, h),
-                )
-            )
-        frames.append(FrameDetections(index=t, detections=dets))
+            box = BBox(float(x0), float(y0), float(w), float(h))
+            mask = _rect_mask(cfg.frame_height, cfg.frame_width, x0, y0, w, h)
+            spurious.append(Detection(t, box, objectness, app_emb, cls_emb, mask))
+        per_frame.append((len(kept) - n_kept, spurious))
+
+    # Every kept detection's noise in one pass; a row is its jitter, then
+    # appearance, then class noise, in the stream order of item 3.
+    noise = gauss_blocks(starts, width)
+    rows = np.array(kept, dtype=np.int64).reshape(-1, 5)
+    track, app_end = rows[:, 0], 4 + cfg.app_emb_dim
+    identities = np.array([b.identity for b in bodies]).reshape(-1, cfg.app_emb_dim)
+    categories = np.array([b.category_id - 1 for b in bodies], dtype=np.int64)
+    real = zip(
+        _jitter_boxes(rows[:, 1:].astype(np.float64), noise[:, :4], cfg.box_jitter_sigma).tolist(),
+        identities[track] + noise[:, 4:app_end] * cfg.app_noise_sigma,
+        np.array(prototypes)[categories[track]] + noise[:, app_end:] * cfg.cls_noise_sigma,
+    )
+    frames: list[FrameDetections] = []
+    for t, (n_kept, spurious) in enumerate(per_frame):
+        dets = []
+        for xywh, app_emb, cls_emb in islice(real, n_kept):
+            box = BBox(*xywh)
+            mask = _rasterize(box, cfg.frame_height, cfg.frame_width)
+            dets.append(Detection(t, box, 0.95, app_emb, cls_emb, mask))
+        frames.append(FrameDetections(index=t, detections=dets + spurious))
 
     meta = SequenceMeta(
         name=f"synth_{cfg.seed:04d}",

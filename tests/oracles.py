@@ -32,7 +32,7 @@ import numpy as np
 
 from letrack.assignment import hungarian_max
 from letrack.association import Diagnostics, FrameAssignment, TrackerConfig, bisoftmax_scores, cem_gate
-from letrack.classification import CategoryBank, classify_detection, vote
+from letrack.classification import CategoryBank, CategoryEntry, classify_detection, vote
 from letrack.core import BBox, Detection, InternalInvariantError, SequenceMeta, TrackState, TrackStatus
 from letrack.io import (
     FrameDetections,
@@ -44,6 +44,7 @@ from letrack.io import (
 )
 from letrack.maskops import RleMask, box_iou, rle_decode, rle_encode
 from letrack.rng import SplitMix64
+from letrack.synth import SynthResult, _draw_body, _draw_rect, _position, _rasterize, _rect_mask
 
 # ---------------------------------------------------------------------------
 # assignment
@@ -490,6 +491,74 @@ def pool_reference(gt_tracks, pred_tracks, geometry: str, same_category: bool = 
 def gauss_vec_reference(rng: SplitMix64, n: int) -> np.ndarray:
     """n scalar ``gauss()`` calls, in order."""
     return np.array([rng.gauss() for _ in range(n)], dtype=np.float64)
+
+
+def generate_reference(cfg):
+    """``letrack.synth.generate`` as one loop: each kept detection draws its
+    noise with ``gauss_vec_reference`` and is built on the spot."""
+    rng = SplitMix64(cfg.seed)
+    n_common = int(math.floor(cfg.fraction_common * cfg.num_categories + 0.5))
+    prototypes, entries = [], []
+    for c in range(cfg.num_categories):
+        proto = rng.unit_vector(cfg.cls_emb_dim)
+        prototypes.append(proto)
+        split = "common" if c < n_common else "uncommon"
+        entries.append(CategoryEntry(category_id=c + 1, name=f"category_{c + 1:02d}", split=split, prototype=proto))
+    bodies = [_draw_body(rng, cfg) for _ in range(cfg.num_tracks)]
+    gt_obs = [[] for _ in bodies]
+    frames = []
+    for t in range(cfg.num_frames):
+        dets = []
+        for k, body in enumerate(bodies):
+            xi, yi = _position(body, t, cfg)
+            gt_box = BBox(float(xi), float(yi), float(body.w), float(body.h))
+            mask = _rect_mask(cfg.frame_height, cfg.frame_width, xi, yi, body.w, body.h)
+            gt_obs[k].append(TrackObservation(frame=t, box=gt_box, mask=mask))
+            if rng.uniform() < cfg.p_drop:
+                continue
+            noise = gauss_vec_reference(rng, 4 + cfg.app_emb_dim + cfg.cls_emb_dim)
+            jitter = noise[:4].tolist()
+            s = cfg.box_jitter_sigma
+            det_box = BBox(
+                gt_box.x + jitter[0] * s,
+                gt_box.y + jitter[1] * s,
+                max(gt_box.w + jitter[2] * s, 0.0),
+                max(gt_box.h + jitter[3] * s, 0.0),
+            )
+            dets.append(Detection(
+                frame_index=t,
+                box=det_box,
+                objectness=0.95,
+                app_emb=body.identity + noise[4 : 4 + cfg.app_emb_dim] * cfg.app_noise_sigma,
+                cls_emb=prototypes[body.category_id - 1]
+                + noise[4 + cfg.app_emb_dim :] * cfg.cls_noise_sigma,
+                mask=_rasterize(det_box, cfg.frame_height, cfg.frame_width),
+            ))
+        for _ in range(cfg.num_tracks):
+            if rng.uniform() >= cfg.p_fp / cfg.num_tracks:
+                continue
+            w, h, x0, y0 = _draw_rect(rng, cfg)
+            app_emb = rng.unit_vector(cfg.app_emb_dim)
+            cls_emb = rng.unit_vector(cfg.cls_emb_dim)
+            dets.append(Detection(
+                frame_index=t,
+                box=BBox(float(x0), float(y0), float(w), float(h)),
+                objectness=rng.uniform_in(0.3, 0.8),
+                app_emb=app_emb,
+                cls_emb=cls_emb,
+                mask=_rect_mask(cfg.frame_height, cfg.frame_width, x0, y0, w, h),
+            ))
+        frames.append(FrameDetections(index=t, detections=dets))
+    meta = SequenceMeta(f"synth_{cfg.seed:04d}", cfg.frame_height, cfg.frame_width, cfg.num_frames)
+    gt_tracks = [
+        TrackRecord(track_id=k + 1, observations=gt_obs[k], category_id=bodies[k].category_id)
+        for k in range(cfg.num_tracks)
+    ]
+    return SynthResult(
+        gt=[SequenceTracks(meta=meta, tracks=gt_tracks)],
+        detections=[SequenceDetections(meta=meta, frames=frames)],
+        bank=CategoryBank(entries),
+    )
 
 
 def rect_mask_reference(height: int, width: int, x0: int, y0: int, w: int, h: int) -> RleMask:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from letrack.association import Diagnostics
+from letrack.association import Diagnostics, cem_gate
 from letrack.classification import (
     CategoryBank,
     CategoryEntry,
@@ -132,6 +132,53 @@ def test_classify_rejects_empty_bank_and_dim_mismatch():
         classify_detection(np.ones(3), two_split_bank())
 
 
+# Entries 0 or of magnitude in [2**-21, 1): times any 2**k with |k| <= 1000
+# each stays a normal double, so a scaled row is exact.
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e, sign: sign * m * 2.0**e,
+              st.floats(0.5, 1.0, exclude_max=True), st.integers(-20, 0), st.sampled_from([1.0, -1.0])),
+)
+# Scales anywhere, and near the edges of the plain norm's range, where rows
+# leave (2**-500, 2**500) and their squares turn subnormal or overflow.
+_POW2 = st.one_of(st.integers(-1000, 1000), st.integers(-560, -480), st.integers(480, 560))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cosines_ignore_a_power_of_two_scale(data):
+    """Labels, similarities and gate decisions of rows scaled by 2**k equal
+    the unscaled ones, also where the plain norm overflows or underflows."""
+    dim = data.draw(st.integers(1, 6))
+    row = st.lists(_ENTRY, min_size=dim, max_size=dim).filter(any)
+    bank = _bank([unit(*p) for p in data.draw(st.lists(row, min_size=1, max_size=4))])
+    dets = np.array(data.draw(st.lists(row, min_size=1, max_size=5)))
+    tracks = np.array(data.draw(st.lists(row, min_size=1, max_size=5)))
+    k, j = data.draw(_POW2), data.draw(_POW2)
+    for emb in dets:
+        diag = Diagnostics()
+        assert classify_detection(emb * 2.0**k, bank, diag) == classify_detection(emb, bank)
+        assert diag.zero_norm_cls_emb == 0
+    threshold = data.draw(st.floats(-1.0, 1.0))
+    diag = Diagnostics()
+    gate = cem_gate(dets * 2.0**k, tracks * 2.0**j, threshold, diag)
+    assert np.array_equal(gate, cem_gate(dets, tracks, threshold))
+    assert diag.zero_norm_cls_emb == 0
+
+
+def test_only_zero_rows_count_as_zero_norm():
+    bank = two_split_bank()
+    for emb, want in (([5e-324, 0.0], (1, 1.0)), ([0.0, 1e308], (2, 1.0)), ([1e308, 1e308], (1, unit(1, 1)[0]))):
+        diag = Diagnostics()
+        assert classify_detection(np.array(emb), bank, diag) == want
+        assert diag.zero_norm_cls_emb == 0
+    diag = Diagnostics()
+    gate = cem_gate(np.array([[0.0, 0.0], [5e-324, 0.0]]), np.array([[1e308, 0.0], [0.0, 0.0]]), 0.5, diag)
+    assert gate.tolist() == [[False, False], [True, False]]
+    assert diag.zero_norm_cls_emb == 2
+
+
 # ---------------------------------------------------------------------------
 # batched nearest prototype
 
@@ -178,9 +225,9 @@ def test_nearest_prototypes_leaves_every_row_of_a_wrong_dimension_or_empty_bank(
         assert not decided.any() and len(labels) == 4
 
 
-# Norms past both ends of the batched range; the largest keeps every sum of
-# squares finite, since classify_detection itself warns on overflow.
-_SCALES = [1.0, 1e-5, 1e5, 1e150, 2.0**505, 1e-160, 2.0**-520, 1e-200]
+# Norms past both ends of the batched range, down to rows whose plain norm
+# underflows to 0 and up to rows whose sum of squares overflows.
+_SCALES = [1.0, 1e-5, 1e5, 1e150, 2.0**505, 1e-160, 2.0**-520, 1e-200, 1e-300, 1e300]
 
 
 def _nudge(p: np.ndarray, data) -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from letrack.rng import SplitMix64
+import letrack.rng as rng
+from letrack.rng import SplitMix64, gauss_blocks
 
 from oracles import gauss_vec_reference
 
@@ -125,6 +126,54 @@ def test_gauss_vec_equals_scalar_reference(seed, n):
     assert got.shape == (n,)
     assert got.tobytes() == want.tobytes()
     assert block.next_u64() == scalar.next_u64()
+
+
+@settings(max_examples=200, deadline=None)
+@given(starts=st.lists(_SEEDS, max_size=12), n=st.integers(0, 40))
+def test_gauss_blocks_equal_scalar_reference_per_start(starts, n):
+    got = gauss_blocks(starts, n)
+    assert got.dtype == np.float64
+    assert got.shape == (len(starts), n)
+    for row, start in zip(got, starts):
+        assert row.tobytes() == gauss_vec_reference(SplitMix64(start), n).tobytes()
+
+
+def test_gauss_blocks_chunk_edges():
+    # Rows past one chunk of words, and a block wider than a chunk.
+    starts = [2**64 - 1 - k for k in range(3)] + list(range(9))
+    for n in (1, 5, rng._CHUNK_WORDS // 2 + 1):
+        step = max(1, rng._CHUNK_WORDS // (2 * n))
+        picked = starts[: min(len(starts), 2 * step + 1)]
+        got = gauss_blocks(picked, n)
+        for row, start in zip(got, picked):
+            assert row.tobytes() == gauss_vec_reference(SplitMix64(start), n).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_SEEDS, n=st.integers(0, 20), gaps=st.lists(st.integers(0, 3), max_size=8))
+def test_skipped_blocks_computed_in_one_batch_equal_the_scalar_stream(seed, n, gaps):
+    """Skip each block's 2n words, draw between blocks, compute every block
+    afterwards in one batch: the rows are the scalar draws, the draws in
+    between stay in place, and the state ends where the scalar draws leave it."""
+    g, scalar = SplitMix64(seed), SplitMix64(seed)
+    starts, want = [], []
+    for gap in gaps:
+        for _ in range(gap):
+            assert g.uniform() == scalar.uniform()
+        starts.append(g.skip(2 * n))
+        want.append(gauss_vec_reference(scalar, n))
+    got = gauss_blocks(starts, n)
+    assert got.shape == (len(gaps), n)
+    assert got.tobytes() == np.array(want, dtype=np.float64).reshape(len(gaps), n).tobytes()
+    assert g.next_u64() == scalar.next_u64()
+
+
+def test_gauss_blocks_empty_batch_and_empty_blocks():
+    assert gauss_blocks([], 7).shape == (0, 7)
+    assert gauss_blocks([], 0).shape == (0, 0)
+    assert gauss_blocks([5, 2**64 - 1], 0).shape == (2, 0)
+    with pytest.raises(ValueError, match="n >= 0"):
+        gauss_blocks([1], -1)
 
 
 def test_gauss_vec_rejects_negative_n():

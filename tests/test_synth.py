@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import letrack.synth
 from letrack.core import BBox
 from letrack.io import bank_to_jsonable, detections_to_jsonable, dumps_canonical, tracks_to_jsonable
 from letrack.maskops import mask_to_box, rle_decode, rle_encode, validate_rle
@@ -12,13 +13,14 @@ from letrack.synth import (
     APP_EMB_SCALE,
     ID_REMAP_OFFSET,
     SynthConfig,
+    _jitter_boxes,
     _rasterize,
     _rect_mask,
     generate,
     perfect_tracker,
 )
 
-from oracles import rect_mask_reference
+from oracles import generate_reference, rect_mask_reference
 
 
 def render(result):
@@ -228,6 +230,134 @@ def test_config_is_frozen():
     cfg = SynthConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 2
+
+
+# ---------------------------------------------------------------------------
+# batched noise against the one-detection-at-a-time reference
+
+
+def _floats(*xs) -> bytes:
+    """Bytes of the doubles, so -0.0, 0.0 and NaN payloads all count."""
+    return np.array(xs, dtype=np.float64).tobytes()
+
+
+def _assert_vector_equal(got, want):
+    assert isinstance(got, np.ndarray)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_result(got, want):
+    assert render(got) == render(want)
+    (g_gt,), (w_gt,) = got.gt, want.gt
+    assert g_gt.meta == w_gt.meta
+    assert [(t.track_id, t.category_id, t.score) for t in g_gt.tracks] == [
+        (t.track_id, t.category_id, t.score) for t in w_gt.tracks]
+    for gt_track, want_track in zip(g_gt.tracks, w_gt.tracks):
+        assert gt_track.observations == want_track.observations
+    (g_det,), (w_det,) = got.detections, want.detections
+    assert g_det.meta == w_det.meta
+    assert [f.index for f in g_det.frames] == [f.index for f in w_det.frames]
+    for gf, wf in zip(g_det.frames, w_det.frames):
+        assert len(gf.detections) == len(wf.detections)
+        for g, w in zip(gf.detections, wf.detections):
+            assert type(g.frame_index) is int and g.frame_index == w.frame_index
+            assert all(type(v) is float for v in g.box.as_tuple())
+            assert _floats(*g.box.as_tuple()) == _floats(*w.box.as_tuple())
+            assert _floats(g.objectness) == _floats(w.objectness)
+            assert g.mask == w.mask
+            _assert_vector_equal(g.app_emb, w.app_emb)
+            _assert_vector_equal(g.cls_emb, w.cls_emb)
+    assert got.bank.ids() == want.bank.ids()
+    for c in want.bank.ids():
+        g, w = got.bank.get(c), want.bank.get(c)
+        assert (g.name, g.split) == (w.name, w.split)
+        _assert_vector_equal(g.prototype, w.prototype)
+
+
+_SEEDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(2**64 - 64, 2**64 - 1),
+    st.sampled_from([0, 1, 2**64 - 1]),
+)
+_PROBS = st.sampled_from([0.0, 1.0, 0.3])
+_SIGMAS = st.sampled_from([0.0, 0.05, 0.7, 6.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=_SEEDS,
+    num_frames=st.integers(1, 5),
+    num_tracks=st.integers(0, 5),
+    num_categories=st.integers(1, 3),
+    frame_height=st.integers(4, 12),
+    frame_width=st.integers(4, 12),
+    p_drop=_PROBS,
+    p_fp=_PROBS,
+    box_jitter_sigma=_SIGMAS,
+    app_noise_sigma=_SIGMAS,
+    cls_noise_sigma=_SIGMAS,
+    app_emb_dim=st.integers(1, 5),
+    cls_emb_dim=st.integers(1, 5),
+)
+# The edges, always run: no tracks; every detection dropped; every spurious
+# slot firing with zero sigmas, 1-dimensional embeddings, a 4x4 frame and
+# the state wrapping mod 2**64.
+@example(seed=0, num_frames=3, num_tracks=0, num_categories=1, frame_height=4, frame_width=4,
+         p_drop=0.0, p_fp=1.0, box_jitter_sigma=0.0, app_noise_sigma=0.0, cls_noise_sigma=0.0,
+         app_emb_dim=1, cls_emb_dim=1)
+@example(seed=2**64 - 1, num_frames=4, num_tracks=3, num_categories=2, frame_height=4, frame_width=4,
+         p_drop=1.0, p_fp=1.0, box_jitter_sigma=0.7, app_noise_sigma=0.0, cls_noise_sigma=0.0,
+         app_emb_dim=1, cls_emb_dim=1)
+@example(seed=2**64 - 2, num_frames=5, num_tracks=4, num_categories=3, frame_height=4, frame_width=4,
+         p_drop=0.0, p_fp=0.0, box_jitter_sigma=6.0, app_noise_sigma=0.0, cls_noise_sigma=0.0,
+         app_emb_dim=1, cls_emb_dim=1)
+def test_generate_equals_per_detection_reference(**fields):
+    cfg = SynthConfig(**fields)
+    _assert_same_result(generate(cfg), generate_reference(cfg))
+
+
+def test_generate_equals_reference_on_a_bench_sized_cut():
+    cfg = SynthConfig(seed=2**64 - 3, num_frames=10, num_tracks=30, frame_height=240,
+                      frame_width=320, p_drop=0.1, p_fp=1.0, box_jitter_sigma=0.5,
+                      app_noise_sigma=0.2, cls_noise_sigma=0.05)
+    _assert_same_result(generate(cfg), generate_reference(cfg))
+
+
+def test_generate_makes_one_noise_pass_per_sequence(monkeypatch):
+    """A count guard, not a timing gate: the noise of every kept detection
+    comes from one ``gauss_blocks`` call, and ``gauss_vec`` runs only for the
+    unit vectors (prototypes, identities, two per spurious detection)."""
+    passes, vec_calls = [], [0]
+    real_blocks, real_vec = letrack.synth.gauss_blocks, letrack.synth.SplitMix64.gauss_vec
+
+    def blocks(starts, n):
+        passes.append(len(starts))
+        return real_blocks(starts, n)
+
+    def vec(self, n):
+        vec_calls[0] += 1
+        return real_vec(self, n)
+
+    monkeypatch.setattr(letrack.synth, "gauss_blocks", blocks)
+    monkeypatch.setattr(letrack.synth.SplitMix64, "gauss_vec", vec)
+    cfg = SynthConfig(seed=5, num_frames=12, num_tracks=9, p_drop=0.2, p_fp=0.6)
+    res = generate(cfg)
+    dets = [d for f in res.detections[0].frames for d in f.detections]
+    spurious = sum(d.objectness != 0.95 for d in dets)
+    assert passes == [len(dets) - spurious] and passes[0] > 50
+    assert vec_calls[0] == cfg.num_categories + cfg.num_tracks + 2 * spurious
+
+
+@pytest.mark.parametrize("v", [-0.0, 0.0, -1e-300, -2.5, 3.0, float("nan"), float("-inf")])
+def test_jitter_clamp_is_max_with_zero(v):
+    """w and h go through ``max(v, 0.0)``: -0.0 and NaN stay, negatives become 0.0."""
+    gt = np.array([[1.5, -2.0, v, v]])
+    for jitter, sigma in (([[0.0, 0.0, 0.0, 0.0]], 1.0), ([[0.25, 1.0, -0.0, 0.0]], 0.0)):
+        got = _jitter_boxes(gt, np.array(jitter), sigma)
+        want = [x + j * sigma for x, j in zip(gt[0], jitter[0])]
+        want[2:] = [max(x, 0.0) for x in want[2:]]
+        assert got.tobytes() == _floats(*want)
 
 
 # ---------------------------------------------------------------------------
