@@ -21,14 +21,16 @@ update at once.  A frame's votes come from one ``nearest_prototypes``
 product; a row within its rounding bound of a tie, or of zero norm, goes
 through ``classify_detection``, so every label is the per-detection one.
 
-Thresholds and momentum live in TrackerConfig; the operations never
-hard-code them.
+``track_sequence`` is the one way to run a sequence: it steps one Tracker
+over every frame index and returns tracks-file records.  ``Tracker.step``
+is the per-frame entry.  Thresholds and momentum live in TrackerConfig;
+the operations never hard-code them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .assignment import hungarian_max
 from .classification import (
     CategoryBank, classify_detection, nearest_prototypes, track_label, unit_rows, vote, vote_fraction,
 )
-from .core import Detection, InternalInvariantError, SequenceMeta, TrackState, TrackStatus
+from .core import Detection, InternalInvariantError, TrackState, TrackStatus
 from .io import (
     SequenceDetections,
     SequenceTracks,
@@ -52,7 +54,6 @@ __all__ = [
     "TrackerConfig",
     "bisoftmax_scores",
     "cem_gate",
-    "run_sequence",
     "track_sequence",
 ]
 
@@ -282,31 +283,30 @@ def _check_assignment(fa: FrameAssignment, num_detections: int) -> None:
         raise InternalInvariantError("a track was matched twice in one frame")
 
 
-def run_sequence(
-    meta: SequenceMeta,
-    frames: Mapping[int, Sequence[Detection]] | Iterable[tuple[int, Sequence[Detection]]],
-    cfg: TrackerConfig | None = None,
-    bank: CategoryBank | None = None,
-) -> list[TrackState]:
-    """Track one full sequence and return every track ever spawned.
-
-    Every frame index in [0, meta.num_frames) is stepped, with an empty
-    detection list where the input has none, so the lost-track window ages
-    in real frames rather than in frames-with-detections.
-    """
-    return _run(meta, frames, cfg, bank).tracks
-
-
 def track_sequence(
     seq: SequenceDetections,
     cfg: TrackerConfig | None = None,
     bank: CategoryBank | None = None,
 ) -> tuple[SequenceTracks, Diagnostics]:
-    """Track one sequence as run_sequence does, into tracks-file records.
+    """Track one sequence into tracks-file records, every track ever spawned.
 
-    Only with a bank are tracks labeled (``track_label``, ``vote_fraction``).
+    Every frame index in [0, seq.meta.num_frames) is stepped, with an empty
+    detection list where the sequence has no frame, so the lost-track window
+    ages in real frames rather than in frames-with-detections.  A frame index
+    out of range or given twice raises ValueError.  Only with a bank are
+    tracks labeled (``track_label``, ``vote_fraction``).
     """
-    tracker = _run(seq.meta, [(fr.index, fr.detections) for fr in seq.frames], cfg, bank)
+    num_frames = seq.meta.num_frames
+    frames: dict[int, list[Detection]] = {}
+    for fr in seq.frames:
+        if not (0 <= fr.index < num_frames):
+            raise ValueError(f"frame index {fr.index} out of range for {num_frames}-frame sequence")
+        if fr.index in frames:
+            raise ValueError(f"frame index {fr.index} appears twice")
+        frames[fr.index] = fr.detections
+    tracker = Tracker(cfg, bank)
+    for idx in range(num_frames):
+        tracker.step(idx, frames.get(idx, ()))
     records = [
         TrackRecord(
             track_id=st.track_id,
@@ -319,19 +319,3 @@ def track_sequence(
         for st in tracker.tracks
     ]
     return SequenceTracks(meta=seq.meta, tracks=records), tracker.diagnostics
-
-
-def _run(
-    meta: SequenceMeta,
-    frames: Mapping[int, Sequence[Detection]] | Iterable[tuple[int, Sequence[Detection]]],
-    cfg: TrackerConfig | None,
-    bank: CategoryBank | None,
-) -> Tracker:
-    frame_map = dict(frames)
-    for idx in frame_map:
-        if not (0 <= idx < meta.num_frames):
-            raise ValueError(f"frame index {idx} out of range for {meta.num_frames}-frame sequence")
-    tracker = Tracker(cfg, bank)
-    for idx in range(meta.num_frames):
-        tracker.step(idx, frame_map.get(idx, ()))
-    return tracker

@@ -11,11 +11,11 @@ from letrack.association import (
     TrackerConfig,
     bisoftmax_scores,
     cem_gate,
-    run_sequence,
     track_sequence,
 )
 from letrack.classification import classify_detection, track_label, vote_fraction
 from letrack.core import TrackState, TrackStatus
+from letrack.io import FrameDetections, SequenceDetections
 from letrack.synth import SynthConfig, generate
 
 from helpers import det, meta, two_split_bank, unit
@@ -327,42 +327,74 @@ def test_tracker_without_bank_casts_no_votes():
 
 
 # ---------------------------------------------------------------------------
-# run_sequence
+# track_sequence
 
 
-def test_run_sequence_steps_every_frame():
-    m = meta(n=6)
-    frames = {0: [det(0, app=APP_A, cls=CLS_X, objectness=0.9)]}
-    tracks = run_sequence(m, frames, TrackerConfig(max_lost_frames=2))
-    assert len(tracks) == 1
+def stepped(m, frames, cfg=None, bank=None) -> Tracker:
+    """A Tracker stepped over every index of range(m.num_frames)."""
+    tracker = Tracker(cfg, bank)
+    for idx in range(m.num_frames):
+        tracker.step(idx, frames.get(idx, []))
+    return tracker
+
+
+def sequence(m, frames) -> SequenceDetections:
+    return SequenceDetections(m, [FrameDetections(i, dets) for i, dets in sorted(frames.items())])
+
+
+def test_track_sequence_steps_every_frame():
+    # The only frames with detections are 0 and `back`; the lost window
+    # ages over the empty frames between them.
+    cfg = TrackerConfig(max_lost_frames=2)
+    for back, ids in ((3, [1]), (4, [1, 2])):
+        frames = {f: [det(f, app=APP_A, cls=CLS_X, objectness=0.9)] for f in (0, back)}
+        tracks, _ = track_sequence(sequence(meta(n=6), frames), cfg)
+        assert [r.track_id for r in tracks.tracks] == ids
+        assert [o.frame for r in tracks.tracks for o in r.observations] == [0, back]
     # frames 1..5 were stepped with no detections: 5 - 0 > 2 means dead
-    assert tracks[0].status is TrackStatus.DEAD
+    lone = stepped(meta(n=6), {0: [det(0, app=APP_A, cls=CLS_X, objectness=0.9)]}, cfg)
+    assert [t.status for t in lone.tracks] == [TrackStatus.DEAD]
 
 
-def test_run_sequence_accepts_pairs_and_validates_range():
+def test_track_sequence_validates_frame_indices():
     m = meta(n=4)
-    tracks = run_sequence(m, [(1, [det(1, app=APP_A, cls=CLS_X, objectness=0.9)])])
-    assert len(tracks) == 1
-    with pytest.raises(ValueError, match="out of range"):
-        run_sequence(m, {4: []})
+    tracks, _ = track_sequence(sequence(m, {1: [det(1, app=APP_A, cls=CLS_X, objectness=0.9)]}))
+    assert [[o.frame for o in r.observations] for r in tracks.tracks] == [[1]]
+    with pytest.raises(ValueError, match="frame index 4 out of range for 4-frame sequence"):
+        track_sequence(sequence(m, {4: []}))
+    with pytest.raises(ValueError, match="frame index -1 out of range"):
+        track_sequence(sequence(m, {-1: []}))
 
 
-def test_run_sequence_returns_dead_and_alive():
+def test_track_sequence_rejects_a_repeated_frame_index():
+    # Two frames sharing index 0: the second one must not silently replace
+    # the first.
+    res = generate(SynthConfig(seed=1, num_frames=6))
+    (seq,) = res.detections
+    repeated = SequenceDetections(seq.meta, [*seq.frames, FrameDetections(0, [])])
+    with pytest.raises(ValueError, match="frame index 0 appears twice"):
+        track_sequence(repeated, bank=res.bank)
+
+
+def test_track_sequence_returns_dead_and_alive():
     m = meta(n=10)
     frames = {
         0: [det(0, app=APP_A, cls=CLS_X, objectness=0.9)],
         9: [det(9, app=APP_B, cls=CLS_Y, objectness=0.9)],
     }
-    tracks = run_sequence(m, frames, TrackerConfig(max_lost_frames=3))
-    assert len(tracks) == 2
-    assert tracks[0].status is TrackStatus.DEAD
-    assert tracks[1].status is TrackStatus.ACTIVE
+    cfg = TrackerConfig(max_lost_frames=3)
+    tracks, _ = track_sequence(sequence(m, frames), cfg)
+    assert [(r.track_id, [o.frame for o in r.observations]) for r in tracks.tracks] == [(1, [0]), (2, [9])]
+    states = stepped(m, frames, cfg).tracks
+    assert [t.track_id for t in states] == [1, 2]
+    assert states[0].status is TrackStatus.DEAD
+    assert states[1].status is TrackStatus.ACTIVE
 
 
-def test_track_sequence_records_match_run_sequence():
+def test_track_sequence_records_match_stepped_tracker():
     res = generate(SynthConfig(seed=2, num_frames=12, p_drop=0.2, p_fp=0.3, cls_noise_sigma=0.3))
     (seq,) = res.detections
-    states = run_sequence(seq.meta, [(fr.index, fr.detections) for fr in seq.frames], bank=res.bank)
+    states = stepped(seq.meta, {fr.index: fr.detections for fr in seq.frames}, bank=res.bank).tracks
 
     labeled, diagnostics = track_sequence(seq, bank=res.bank)
     assert isinstance(diagnostics, Diagnostics)
@@ -397,7 +429,7 @@ def test_tracker_is_deterministic():
 
     def snapshot():
         out = []
-        for t in run_sequence(m, frames):
+        for t in stepped(m, frames).tracks:
             out.append(
                 (
                     t.track_id,

@@ -176,6 +176,19 @@ def test_gauss_blocks_empty_batch_and_empty_blocks():
         gauss_blocks([1], -1)
 
 
+def test_gauss_blocks_take_log_and_cos_from_math(monkeypatch):
+    # Scaled libm calls change every nonzero draw of gauss(); a batch that
+    # computed log or cos any other way (np.log, np.cos) would no longer match.
+    scale = 1.0 + 2.0**-50
+    log, cos = math.log, math.cos
+    monkeypatch.setattr(math, "log", lambda x: log(x) * scale)
+    monkeypatch.setattr(math, "cos", lambda x: cos(x) * scale)
+    for seed in (0, 9, 2**64 - 1):
+        g = SplitMix64(seed)
+        want = [g.gauss() for _ in range(64)]
+        assert gauss_blocks([seed], 64)[0].tolist() == want
+
+
 def test_gauss_vec_rejects_negative_n():
     g = SplitMix64(6)
     with pytest.raises(ValueError, match="n >= 0"):
