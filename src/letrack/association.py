@@ -9,8 +9,8 @@ prior, no NMS.  Per frame the tracker
 3. solves the gated assignment exactly,
 4. updates matched tracks (observation, EMA embedding, one category vote),
 5. spawns tracks from confident unmatched detections, and
-6. marks unmatched tracks lost, then dead once they have been unmatched
-   longer than the re-identification window.
+6. marks unmatched tracks lost, then dead once unmatched for longer than
+   the re-identification window; a skipped frame index counts as empty.
 
 Lost tracks stay in the matchable pool until they die, which is what makes
 re-identification after occlusion work.  Dead tracks are kept (a finished
@@ -22,9 +22,8 @@ product; a row within its rounding bound of a tie, or of zero norm, goes
 through ``classify_detection``, so every label is the per-detection one.
 
 ``track_sequence`` is the one way to run a sequence: it steps one Tracker
-over every frame index and returns tracks-file records.  ``Tracker.step``
-is the per-frame entry.  Thresholds and momentum live in TrackerConfig;
-the operations never hard-code them.
+over the frames it holds and returns tracks-file records.  ``Tracker.step``
+is the per-frame entry.  Thresholds and momentum live in TrackerConfig.
 """
 
 from __future__ import annotations
@@ -170,9 +169,9 @@ def _ema(smoothed: np.ndarray, incoming: np.ndarray, momentum: float) -> np.ndar
 
 
 class Tracker:
-    """Stateful per-sequence tracker; step frames in ascending order.
-
-    Live track k, in spawn order, owns row k of ``_app`` and of ``_cls``."""
+    """Stateful per-sequence tracker; step frames in ascending order.  A skipped
+    index ages the lost window as a frame without detections would.  Live
+    track k, in spawn order, owns row k of ``_app`` and of ``_cls``."""
 
     def __init__(self, cfg: TrackerConfig | None = None, bank: CategoryBank | None = None):
         self.cfg = cfg if cfg is not None else TrackerConfig()
@@ -189,7 +188,17 @@ class Tracker:
         """Every track ever spawned, in spawn order (dead ones included)."""
         return list(self._tracks)
 
+    def _lose(self, frame_index: int, unmatched: list[TrackState]) -> None:
+        # Unmatched live tracks turn LOST, and DEAD past the window; dead rows leave the pool.
+        for track in unmatched:
+            dead = frame_index - track.last_frame > self.cfg.max_lost_frames
+            track.status = TrackStatus.DEAD if dead else TrackStatus.LOST
+        live = [j for j, t in enumerate(self._live) if t.status is not TrackStatus.DEAD]
+        if len(live) < len(self._live):
+            self._live, self._app, self._cls = [self._live[j] for j in live], self._app[live], self._cls[live]
+
     def step(self, frame_index: int, detections: Sequence[Detection]) -> FrameAssignment:
+        """Track one frame; the indices skipped since the last step first age the pool."""
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
                 f"out-of-order frame_index {frame_index}, already stepped {self._last_frame}"
@@ -199,6 +208,8 @@ class Tracker:
                 raise ValueError(
                     f"detections[{i}] carries frame_index {det.frame_index}, stepping {frame_index}"
                 )
+        if self._last_frame is not None and frame_index - self._last_frame > 1:
+            self._lose(frame_index - 1, self._live)  # the skipped indices: the last one decides
         self._last_frame = frame_index
 
         pool = self._live
@@ -248,14 +259,7 @@ class Tracker:
 
         matched_rows = set(rows)
         unmatched_tracks = [t for j, t in enumerate(pool) if j not in matched_rows]
-        for track in unmatched_tracks:
-            track.status = TrackStatus.LOST
-        dying = [t for t in unmatched_tracks if frame_index - t.last_frame > self.cfg.max_lost_frames]
-        if dying:
-            for track in dying:
-                track.status = TrackStatus.DEAD
-            live = [j for j, t in enumerate(pool) if t.status is not TrackStatus.DEAD]
-            self._live, self._app, self._cls = [pool[j] for j in live], self._app[live], self._cls[live]
+        self._lose(frame_index, unmatched_tracks)
         if born:
             # With no live row left, the new rows may bring new dimensions.
             old = (self._app, self._cls) if self._live else (det_app[:0], det_cls[:0])
@@ -290,11 +294,11 @@ def track_sequence(
 ) -> tuple[SequenceTracks, Diagnostics]:
     """Track one sequence into tracks-file records, every track ever spawned.
 
-    Every frame index in [0, seq.meta.num_frames) is stepped, with an empty
-    detection list where the sequence has no frame, so the lost-track window
-    ages in real frames rather than in frames-with-detections.  A frame index
-    out of range or given twice raises ValueError.  Only with a bank are
-    tracks labeled (``track_label``, ``vote_fraction``).
+    Only the frames the sequence holds are stepped, in ascending order; the
+    lost window still ages in real frames (``Tracker.step``), so the cost
+    follows the input, not ``num_frames``.  A frame index out of range or
+    given twice raises ValueError.  Only with a bank are tracks labeled
+    (``track_label``, ``vote_fraction``).
     """
     num_frames = seq.meta.num_frames
     frames: dict[int, list[Detection]] = {}
@@ -305,8 +309,8 @@ def track_sequence(
             raise ValueError(f"frame index {fr.index} appears twice")
         frames[fr.index] = fr.detections
     tracker = Tracker(cfg, bank)
-    for idx in range(num_frames):
-        tracker.step(idx, frames.get(idx, ()))
+    for idx in sorted(frames):
+        tracker.step(idx, frames[idx])
     records = [
         TrackRecord(
             track_id=st.track_id,

@@ -167,21 +167,19 @@ def classify_detection(
 
 def nearest_prototypes(cls_embs: np.ndarray, bank: CategoryBank) -> tuple[list[int], np.ndarray]:
     """``classify_detection``'s labels for the rows of ``cls_embs``, from one
-    product, and the rows they are sure for; the rest (near ties, zero or
-    extreme norms, a wrong dimension) must go through ``classify_detection``."""
+    product, and the rows they are sure for; the rest (near ties, zero
+    norms, a wrong dimension) must go through ``classify_detection``."""
     embs = np.asarray(cls_embs, dtype=np.float64)
     undecided = [0] * len(embs), np.zeros(len(embs), dtype=bool)
     if len(bank) == 0 or embs.ndim != 2 or embs.shape[1] != bank.prototype_matrix()[1].shape[1]:
         return undecided
     ids, protos = bank.prototype_matrix()
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        norms = np.linalg.norm(embs, axis=1)
-        sure = (norms > 2.0**-500) & (norms < 2.0**500)
-        sims = np.divide(embs, norms[:, None], out=np.zeros_like(embs), where=sure[:, None]) @ protos.T
+    units, zero = unit_rows(embs)
+    sims, sure = units @ protos.T, ~zero[:, 0]
     if len(protos) > 1:
-        # Higham (Accuracy and Stability, 2nd ed., ch. 3): with a norm whose
-        # squares neither overflow nor underflow, each similarity is a common
-        # positive factor times (cosine + e), |e| <= g = gamma_(d+1) * (1 + 1e-6),
+        # Higham (Accuracy and Stability, 2nd ed., ch. 3): with a norm whose squares
+        # neither overflow nor underflow (unit_rows rescales to one), each similarity is
+        # a common positive factor times (cosine + e), |e| <= g = gamma_(d+1) * (1 + 1e-6),
         # in any summation order.  So the per-row product has this argmax when
         # the top two differ by over 4 g; 8 * gamma_(d+4) leaves a 2x margin.
         u = (protos.shape[1] + 4) * 2.0**-53

@@ -118,10 +118,10 @@ class SequenceMeta:
     num_frames: int
 
 
-def _embedding_checks(detections: Sequence[Detection], name: str) -> tuple[list, tuple]:
-    """(flags, message) for the form checks of one embedding kind (1-D,
-    non-empty, finite) and for its dimension, that of the first 1-D,
-    non-empty one.  One shape for the whole kind needs no per-embedding pass."""
+def _embedding_checks(detections: Sequence[Detection], name: str) -> tuple[list, tuple, float]:
+    """(flags, message) for the form checks of one embedding kind (1-D, non-empty,
+    finite) and for its dimension, that of the first 1-D, non-empty one; and the largest
+    norm of those that pass.  One shape for the whole kind needs no per-embedding pass."""
     embs = list(map(attrgetter(name), detections))
     n = len(embs)
     if len(set(map(attrgetter("shape"), embs))) == 1:
@@ -134,21 +134,27 @@ def _embedding_checks(detections: Sequence[Detection], name: str) -> tuple[list,
     ok_idx = np.flatnonzero(ok)
     dim = int(size[ok_idx[0]]) if ok_idx.size else None
     nonfinite = np.zeros(n, dtype=bool)
+    norm = 0.0
     if ok_idx.size:
         # One concatenate of the 1-D, non-empty embeddings; the k-th of them
         # owns the values before ends[k].
         ok_embs = embs if ok_idx.size == n else [embs[i] for i in ok_idx]
-        finite = np.isfinite(np.concatenate(ok_embs))
+        values = np.concatenate(ok_embs)
+        finite, ends = np.isfinite(values), np.cumsum(size[ok_idx])
         if not finite.all():
-            ends = np.cumsum(size[ok_idx])
             nonfinite[ok_idx[np.searchsorted(ends, np.flatnonzero(~finite), side="right")]] = True
+        # Scaled by 2**-600 in place (no second copy): no square overflows, no norm near 2**511 loses bits.
+        with np.errstate(under="ignore", over="ignore"):
+            values *= 2.0**-600
+            sumsq = np.add.reduceat(np.square(values, out=values), ends - size[ok_idx])[~nonfinite[ok_idx]]
+            norm = float(np.sqrt(sumsq.max(initial=0.0)) * 2.0**600)
     form = [
         (~one_d, f"{name} must be 1-D, got shape {{d.{name}.shape}}"),
         (one_d & (size == 0), f"{name} must be non-empty"),
         (nonfinite, f"{name} has non-finite values"),
     ]
     mismatch = f"{name} embedding dimension mismatch, got {{d.{name}.size}}, expected {dim}"
-    return form, (ok & (size != dim), mismatch)
+    return form, (ok & (size != dim), mismatch), norm
 
 
 def validate_sequence(meta: SequenceMeta, detections: Sequence[Detection]) -> list[str]:
@@ -180,8 +186,8 @@ def validate_sequence(meta: SequenceMeta, detections: Sequence[Detection]) -> li
     boxes = np.array([list(map(attrgetter(c), bboxes)) for c in "xywh"])
     box_finite = np.isfinite(boxes).all(axis=0)
     bad_extent = box_finite & (boxes[2:] < 0).any(axis=0)
-    app_form, app_dim = _embedding_checks(detections, "app_emb")
-    cls_form, cls_dim = _embedding_checks(detections, "cls_emb")
+    app_form, app_dim, app_norm = _embedding_checks(detections, "app_emb")
+    cls_form, cls_dim, _ = _embedding_checks(detections, "cls_emb")
     # Each distinct mask size is decided once; per-detection flags only when one is wrong.
     masks = [d.mask for d in detections if d.mask is not None]
     wrong = set(map(tuple, map(attrgetter("size"), masks))) - {(meta.height, meta.width)}
@@ -210,4 +216,8 @@ def validate_sequence(meta: SequenceMeta, detections: Sequence[Detection]) -> li
         fields = dict(d=d, meta=meta, frame=_quote(d.frame_index, str), box=d.box.as_tuple(),
                       mask=d.mask and tuple(d.mask.size))
         issues += [f"detections[{i}]: {texts[k].format(**fields)}" for k in np.flatnonzero(hits[:, i])]
+    # Cauchy-Schwarz: app_emb norms below 2**511 keep every appearance dot product below 2**1022
+    # and every softmax max-subtraction below 2**1023; a smoothed embedding is no longer.
+    if app_norm >= 2.0**511:
+        issues.append(f"app_emb: largest norm must be < 2**511, got {app_norm:.6g}")
     return issues

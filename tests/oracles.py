@@ -703,6 +703,10 @@ def validate_sequence_reference(meta: SequenceMeta, detections: list[Detection])
                 f"{where}: mask size {tuple(det.mask.size)} does not match "
                 f"sequence size ({meta.height}, {meta.width})"
             )
+    apps = [d.app_emb for d in detections if d.app_emb.ndim == 1 and np.isfinite(d.app_emb).all()]
+    norm = max((math.hypot(*a) for a in apps), default=0.0)
+    if norm >= 2**511:
+        issues.append(f"app_emb: largest norm must be < 2**511, got {norm:.6g}")
     return issues
 
 

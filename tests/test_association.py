@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from letrack.association import (
     Diagnostics,
+    FrameAssignment,
     Tracker,
     TrackerConfig,
     bisoftmax_scores,
@@ -497,6 +498,84 @@ def test_tracker_matches_the_per_row_reference(synth, cfg, with_bank):
         assert fast.step(f, dets) == ref.step(f, dets)
     assert [_state(t) for t in fast.tracks] == [_state(t) for t in ref.tracks]
     assert fast.diagnostics == ref.diagnostics
+
+
+def test_skipped_indices_age_the_pool_as_empty_frames():
+    # Frames 0 and 5 only, max_lost_frames=2: indices 1-4 count as frames
+    # without detections, so track 1 died at frame 3 and frame 5 spawns.
+    cfg = TrackerConfig(max_lost_frames=2)
+    tr = Tracker(cfg)
+    tr.step(0, [det(0, app=APP_A, cls=CLS_X)])
+    fa = tr.step(5, [det(5, app=APP_A, cls=CLS_X)])
+    assert fa == FrameAssignment(matches=(), new_tracks=((0, 2),), unmatched_tracks=())
+    assert [t.status for t in tr.tracks] == [TrackStatus.DEAD, TrackStatus.ACTIVE]
+    # A gap the window outlasts leaves the track LOST, and it can still match.
+    tr = Tracker(cfg)
+    tr.step(0, [det(0, app=APP_A, cls=CLS_X)])
+    tr.step(2, [det(2, app=APP_B, cls=CLS_Y)])
+    assert [t.status for t in tr.tracks] == [TrackStatus.LOST, TrackStatus.ACTIVE]
+    fa = tr.step(3, [det(3, app=APP_A, cls=CLS_X)])
+    assert [tid for _, tid, _ in fa.matches] == [1]
+    assert fa.unmatched_tracks == (2,)
+
+
+# Per frame index: keep its detections, empty it but still step it, or empty
+# it and leave it out of the frames the fast tracker steps.
+_LAYOUT = st.lists(st.sampled_from(["kept", "kept", "empty", "skipped", "skipped"]), min_size=14, max_size=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    synth=st.builds(
+        SynthConfig,
+        seed=st.integers(0, 2**20),
+        num_frames=st.integers(1, 14),
+        num_tracks=st.integers(0, 5),
+        num_categories=st.integers(1, 4),
+        p_drop=st.sampled_from([0.0, 0.3, 0.7]),
+        p_fp=st.sampled_from([0.0, 0.3]),
+        app_noise_sigma=st.sampled_from([0.0, 0.5]),
+        cls_noise_sigma=st.sampled_from([0.0, 0.3]),
+        app_emb_dim=st.integers(1, 6),
+        cls_emb_dim=st.integers(1, 4),
+    ),
+    layout=_LAYOUT,
+    max_lost_frames=st.integers(0, 16),
+    with_bank=st.booleans(),
+)
+def test_a_tracker_stepped_over_held_frames_matches_the_every_index_reference(
+    synth, layout, max_lost_frames, with_bank
+):
+    res = generate(synth)
+    (seq,) = res.detections
+    bank = res.bank if with_bank else None
+    cfg = TrackerConfig(max_lost_frames=max_lost_frames)
+    frames = {fr.index: fr.detections for fr in seq.frames if layout[fr.index] == "kept"}
+    held = {f: frames.get(f, []) for f in range(seq.meta.num_frames) if f in frames or layout[f] == "empty"}
+    fast, ref = Tracker(cfg, bank), ReferenceTracker(cfg, bank)
+    for f in range(seq.meta.num_frames):
+        want = ref.step(f, frames.get(f, []))
+        if f in held:
+            assert fast.step(f, held[f]) == want
+            assert [_state(t) for t in fast.tracks] == [_state(t) for t in ref.tracks]
+            assert fast.diagnostics == ref.diagnostics
+
+    tracks, diagnostics = track_sequence(
+        SequenceDetections(seq.meta, [FrameDetections(f, dets) for f, dets in held.items()]), cfg, bank
+    )
+    assert [
+        (r.track_id, [(o.frame, o.box, o.mask) for o in r.observations], r.category_id, r.score)
+        for r in tracks.tracks
+    ] == [
+        (
+            t.track_id,
+            [(f, d.box, d.mask) for f, d in t.observations],
+            track_label(t) if t.category_votes else None,
+            vote_fraction(t) if t.category_votes else None,
+        )
+        for t in ref.tracks
+    ]
+    assert diagnostics == ref.diagnostics
 
 
 def test_zero_norm_class_embeddings_count_as_the_reference_does():

@@ -207,13 +207,14 @@ def test_nearest_prototypes_decides_separated_rows():
     assert isinstance(labels[0], int)
 
 
-def test_nearest_prototypes_leaves_ties_zero_rows_and_extreme_norms():
+def test_nearest_prototypes_leaves_ties_and_zero_rows_and_decides_extreme_norms():
     bank = _bank(np.eye(2))
     tie, near_tie = [1.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]
     embs = np.array([tie, near_tie, [0.0, 0.0], [2.0**-510, 0.0], [2.0**510, 0.0], [3.0, 1.0]])
     labels, decided = nearest_prototypes(embs, bank)
-    assert decided.tolist() == [False, False, False, False, False, True]
-    assert labels[-1] == 1
+    # unit_rows rescales the rows outside (2**-500, 2**500), so only ties and zero rows are left
+    assert decided.tolist() == [False, False, False, True, True, True]
+    assert labels[-3:] == [1, 1, 1]
     diag = Diagnostics()
     assert _labels_with_fallback(embs, bank, diag) == [1, 2, 1, 1, 1, 1]
     assert diag.zero_norm_cls_emb == 1

@@ -1,15 +1,26 @@
 import hashlib
 import json
+import math
 import os
+import tempfile
+import warnings
+from contextlib import redirect_stderr
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from letrack.association import Tracker
 from letrack.cli import main
-from letrack.io import load_tracks, save_bank, save_detections, save_tracks
+from letrack.io import (
+    FrameDetections, SequenceDetections, load_tracks, save_bank, save_detections, save_tracks,
+)
 from letrack.maskops import rle_decode
 from letrack.synth import SynthConfig, generate
 
-from helpers import burst_doc
+from helpers import burst_doc, det, meta
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +322,82 @@ def test_validate_lists_a_huge_frame_count_of_an_empty_sequence(tmp_path, capsys
     assert capsys.readouterr().err.splitlines() == [
         f"error: sequences[0]: meta: num_frames must be <= 2**63 - 1, got {10**400}"
     ]
+
+
+def test_track_steps_only_the_frames_a_sequence_holds(tmp_path, capsys, monkeypatch):
+    # A spy, not a timing gate: stepping every index of [0, num_frames)
+    # trips it after ten calls instead of running for ever.
+    calls = []
+    step = Tracker.step
+
+    def spy(self, frame_index, detections):
+        calls.append(frame_index)
+        if len(calls) > 10:
+            raise AssertionError(f"Tracker.step called {len(calls)} times")
+        return step(self, frame_index, detections)
+
+    monkeypatch.setattr(Tracker, "step", spy)
+    last = 2**63 - 1
+    dets, out = str(tmp_path / "dets.json"), tmp_path / "pred.json"
+    for frames, n_tracks in (([], 0), ([0, last - 1], 2)):
+        calls.clear()
+        held = [FrameDetections(f, [det(f, objectness=0.9)]) for f in frames]
+        save_detections(dets, [SequenceDetections(meta(n=last), held)])
+        assert main(["track", "--detections", dets, "--out", str(out)]) == 0
+        assert calls == frames
+        assert f"tracked 1 sequence(s), {n_tracks} track(s)" in capsys.readouterr().err
+        if not frames:
+            assert b'"tracks":[]' in out.read_bytes()
+        pred, _ = load_tracks(str(out))
+        assert [[o.frame for o in t.observations] for t in pred[0].tracks] == [[f] for f in frames]
+
+
+def _synth_with_scaled_app_embs(d, scale: float):
+    """The default ``letrack synth`` output twice over, as two sequences, with
+    every app_emb times scale; returns (detections path, bank path, app_embs)."""
+    assert main(["synth", "--out-gt", str(d / "gt.json"), "--out-dets", str(d / "src.json"),
+                 "--out-bank", str(d / "bank.json")]) == 0
+    doc = json.loads((d / "src.json").read_text())
+    doc["sequences"].append(dict(json.loads(json.dumps(doc["sequences"][0])), name="copy"))
+    apps = []
+    for seq in doc["sequences"]:
+        for fr in seq["frames"]:
+            for x in fr["detections"]:
+                x["app_emb"] = [v * scale for v in x["app_emb"]]
+                apps.append(x["app_emb"])
+    (d / "dets.json").write_text(json.dumps(doc))
+    return str(d / "dets.json"), str(d / "bank.json"), apps
+
+
+def test_validate_rejects_app_embeddings_whose_dot_products_would_overflow(tmp_path, capsys):
+    # At 1e200 every appearance dot product overflows: unchecked, track wrote
+    # 100 tracks instead of 5.  One issue per sequence, at validate.
+    dets, _, _ = _synth_with_scaled_app_embs(tmp_path, 1e200)
+    capsys.readouterr()
+    assert main(["validate", "--file", dets, "--kind", "detections"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sequences[{i}]: app_emb: largest norm must be < 2**511, got 6e+200" for i in (0, 1)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-1000, 1000) | st.integers(505, 512))
+def test_app_embeddings_scaled_by_a_power_of_two_fail_validate_or_track_cleanly(k):
+    with tempfile.TemporaryDirectory() as d, redirect_stderr(StringIO()) as err:
+        dets, bank, apps = _synth_with_scaled_app_embs(Path(d), 2.0**k)
+        rejected = max(math.hypot(*a) for a in apps) >= 2**511
+        rc = main(["validate", "--file", dets, "--kind", "detections"])
+        issues = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        if rejected:
+            assert rc == 1
+            assert [line.split(": app_emb: largest norm")[0] for line in issues] == [
+                f"error: sequences[{i}]" for i in (0, 1)
+            ]
+        else:
+            assert (rc, issues) == (0, [])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["track", "--detections", dets, "--bank", bank, "--out", f"{d}/pred.json"]) == 0
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
