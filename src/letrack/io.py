@@ -16,6 +16,13 @@ range is a fault at its field, not a crash.  In strict mode (the default)
 unknown fields are errors; in lax mode they are collected as warnings
 instead.
 
+A clean unit, one frame of a detections file or one sequence of a tracks
+file, is decided in column passes: every rule the walk checks, applied to
+columns gathered across the unit's records, from which its objects are
+then built.  A unit the passes cannot prove clean is walked record by
+record through ``_field``, and that walk alone writes issues and warnings,
+so both paths build the same objects and the input alone picks the path.
+
 ``tracks_from_burst`` converts a BURST annotation dump (Athar et al., WACV
 2023) to tracks::
 
@@ -44,7 +51,9 @@ import math
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter, methodcaller
 from typing import Any, Callable, Iterator, Mapping, Optional, TypeVar
 
 import numpy as np
@@ -106,6 +115,9 @@ class ConfigError(ValueError):
 _INT = frozenset({int})
 _FLOAT = frozenset({float})
 _NUM = frozenset({int, float})
+_STR = frozenset({str})
+_DICT = frozenset({dict})
+_LIST = frozenset({list})
 
 
 def _format_float(x: float) -> str:
@@ -122,18 +134,6 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def _dump(obj: Any, out: list[str]) -> None:
-    # Whole-list fast paths first; bools, numpy scalars, tuples and nested
-    # containers take the recursive path.  A float list is formatted in one
-    # %-operation when its sum is finite; otherwise _format_float, per
-    # element, names the non-finite value (or renders an overflowing sum).
-    if type(obj) is list:
-        kinds = set(map(type, obj))
-        if kinds == _INT:
-            out.append(f"[{','.join(map(str, obj))}]")
-            return
-        if kinds == _FLOAT and math.isfinite(sum(obj)):
-            out.append(f"[{','.join(['%.9g'] * len(obj)) % tuple(obj)}]")
-            return
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -145,27 +145,65 @@ def _dump(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise ValueError(f"object keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(encode_basestring_ascii(key))
-            out.append(":")
-            _dump(obj[key], out)
-        out.append("}")
+        _dump_dict(obj, out)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _dump(item, out)
-        out.append("]")
+        _dump_list(obj, out)
     elif isinstance(obj, np.ndarray):
         _dump(obj.tolist(), out)
     else:
         raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+def _dump_dict(obj: dict, out: list[str]) -> None:
+    """Keys are checked before they are sorted, so a key of another type is
+    named, not left to ``sorted`` to trip on.  An exact-int, finite-float or
+    str value is written inline; a dict or list by its writer; bools, numpy
+    scalars, non-finite floats and anything else by ``_dump``."""
+    if not set(map(type, obj)) <= _STR:
+        for key in obj:
+            if not isinstance(key, str):
+                raise ValueError(f"object keys must be strings, got {key!r}")
+    sep = "{"
+    for key in sorted(obj):
+        v = obj[key]
+        kind = type(v)
+        if kind is int:
+            out.append(f"{sep}{encode_basestring_ascii(key)}:{v}")
+        elif kind is float and math.isfinite(v):
+            out.append(f"{sep}{encode_basestring_ascii(key)}:{'%.9g' % v}")
+        elif kind is str:
+            out.append(f"{sep}{encode_basestring_ascii(key)}:{encode_basestring_ascii(v)}")
+        else:
+            out.append(f"{sep}{encode_basestring_ascii(key)}:")
+            if kind is dict:
+                _dump_dict(v, out)
+            elif kind is list:
+                _dump_list(v, out)
+            else:
+                _dump(v, out)
+        sep = ","
+    out.append("}" if obj else "{}")
+
+
+def _dump_list(v: list | tuple, out: list[str]) -> None:
+    """An all-int list, or an all-float one whose sum is finite, is joined in
+    one operation; a list of dicts is walked here.  Any other list, a float
+    one with a non-finite sum too, goes to ``_dump`` element by element,
+    where _format_float names the non-finite value (or renders an
+    overflowing sum)."""
+    kinds = set(map(type, v))
+    if kinds == _INT:
+        out.append(repr(list(v)).replace(" ", ""))  # "[1, 2]": no int's repr has a space
+    elif kinds == _FLOAT and math.isfinite(sum(v)):
+        out.append(f"[{','.join(['%.9g'] * len(v)) % tuple(v)}]")
+    else:
+        write = _dump_dict if kinds == _DICT else _dump
+        sep = "["
+        for item in v:
+            out.append(sep)
+            write(item, out)
+            sep = ","
+        out.append("]" if v else "[]")
 
 
 def write_json_files(rendered: list[tuple[str, str]]) -> None:
@@ -410,6 +448,163 @@ def _mask(v: Any, path: str, ctx: _Ctx, seq_size: tuple[int, int]) -> RleMask | 
     return mask if len(ctx.issues) == n_issues else None
 
 
+# ---------------------------------------------------------------------------
+# column passes
+#
+# A clean unit (one frame of a detections file, one sequence of a tracks
+# file) is decided in passes over columns gathered across its records, and
+# built straight from them.  A pass files nothing: each helper gives None as
+# soon as it cannot prove its columns clean, and its caller then walks the
+# unit record by record with the field parsers above, which write every
+# issue and warning.  Exact types are screened before numpy converts a
+# column, as numpy reads True or "1" as 1.0.
+
+_INT_OR_NONE = frozenset({int, type(None)})
+
+
+def _records(v: Any, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> list[list] | None:
+    """One column per key of ``required + optional``, a missing optional key
+    read as None; None unless ``v`` is a list of exact dicts that each hold
+    every required key and no other key."""
+    if type(v) is not list or not set(map(type, v)) <= _DICT:
+        return None
+    try:
+        cols = [list(map(itemgetter(k), v)) for k in required]
+    except KeyError:
+        return None
+    n_keys = len(required) * len(v)
+    for k in optional:
+        n = sum(map(dict.__contains__, v, repeat(k)))
+        n_keys += n
+        cols.append(list(map(methodcaller("get", k), v)) if n else [None] * len(v))
+    return cols if sum(map(len, v)) == n_keys else None
+
+
+def _box_column(boxes: list) -> list | None:
+    """Every coordinate of ``boxes``, 4 per box, as ``_box`` reads them; None
+    unless each is a list of 4 numbers that fit a double."""
+    if not (set(map(type, boxes)) <= _LIST and set(map(len, boxes)) <= {4}):
+        return None
+    return _doubles(list(chain.from_iterable(boxes)))
+
+
+def _bboxes(xs: list) -> list[BBox]:
+    return list(map(BBox, xs[0::4], xs[1::4], xs[2::4], xs[3::4]))
+
+
+def _vector_rows(vectors: list) -> list[np.ndarray] | None:
+    """``vectors``, a non-empty column, as the rows of one float64 matrix;
+    None unless each is a list of one same, non-zero count of numbers that
+    fit a double."""
+    if not set(map(type, vectors)) <= _LIST or len(dims := set(map(len, vectors))) != 1 or 0 in dims:
+        return None
+    xs = _doubles(list(chain.from_iterable(vectors)))
+    return None if xs is None else list(np.array(xs, dtype=np.float64).reshape(len(vectors), -1))
+
+
+def _mask_column(masks: list, size: tuple[int, int]) -> list | None:
+    """``masks`` with each non-null one built as ``_mask`` builds it; None
+    unless each is a valid RLE mask of ``size`` with its exact keys."""
+    present = [m for m in masks if m is not None]
+    cols = _records(present, ("counts", "size"))
+    if not present or cols is None:
+        return None if present else masks
+    counts, sizes = cols
+    if not (
+        set(map(type, sizes)) <= _LIST
+        and set(map(type, chain.from_iterable(sizes))) <= _INT
+        and set(map(tuple, sizes)) == {size}
+        and set(map(type, counts)) <= _LIST
+        and min(map(len, counts)) >= 1
+        and set(map(type, chain.from_iterable(counts))) <= _INT
+    ):
+        return None
+    # Python ints, so no sum wraps: runs >= 0 that fill the frame, with a
+    # zero only as a mask's first run.
+    if (
+        min(map(min, counts)) < 0
+        or set(map(sum, counts)) != {size[0] * size[1]}
+        or sum(map(list.count, counts, repeat(0))) != list(map(itemgetter(0), counts)).count(0)
+    ):
+        return None
+    built = map(RleMask, repeat(size), map(tuple, counts))
+    if len(present) == len(masks):
+        return list(built)
+    return [m if m is None else next(built) for m in masks]
+
+
+def _frame_columns(fr_v: Any, meta: SequenceMeta, prev_index: int | None) -> FrameDetections | None:
+    """The frame ``fr_v`` of a detections sequence built from its columns, or
+    None unless it is clean; ``prev_index`` is the index of the frame before."""
+    frame = _records([fr_v], ("index", "detections"))
+    if frame is None:
+        return None
+    (index,), (dets_v,) = frame
+    if type(index) is not int or not (-1 if prev_index is None else prev_index) < index < meta.num_frames:
+        return None
+    cols = _records(dets_v, ("box", "score", "app_emb", "cls_emb"), ("mask",))
+    if cols is None or not dets_v:
+        return None if cols is None else FrameDetections(index, [])
+    boxes, scores, apps, clss, masks = cols
+    xs = _box_column(boxes)
+    scores = _doubles(scores)
+    apps, clss = _vector_rows(apps), _vector_rows(clss)
+    masks = _mask_column(masks, (meta.height, meta.width))
+    if xs is None or scores is None or apps is None or clss is None or masks is None:
+        return None
+    dets = list(map(Detection, repeat(index), _bboxes(xs), scores, apps, clss, masks))
+    return FrameDetections(index, dets)
+
+
+def _tracks_columns(tracks_v: list, meta: SequenceMeta) -> list[TrackRecord] | None:
+    """The tracks of one sequence built from their columns, or None unless
+    every track and observation is clean."""
+    cols = _records(tracks_v, ("track_id", "observations"), ("category_id", "score"))
+    if cols is None or not tracks_v:
+        return None if cols is None else []
+    ids, obs_lists, cats, scores = cols
+    if not (
+        set(map(type, ids)) <= _INT
+        and min(ids) >= 1
+        and len(set(ids)) == len(ids)
+        and set(map(type, cats)) <= _INT_OR_NONE
+        and set(map(type, obs_lists)) <= _LIST
+    ):
+        return None
+    present = _doubles([s for s in scores if s is not None])
+    if present is None or not all(map(math.isfinite, present)):
+        return None
+    lens = list(map(len, obs_lists))
+    obs = _records(list(chain.from_iterable(obs_lists)), ("frame", "box"), ("mask",))
+    if min(lens) < 1 or obs is None:
+        return None
+    frames, boxes, masks = obs
+    if not (
+        set(map(type, frames)) <= _INT
+        and min(frames) >= 0
+        and max(frames) < min(meta.num_frames, 2**63)
+    ):
+        return None
+    ascending = np.diff(np.array(frames, dtype=np.int64)) > 0
+    ascending[np.cumsum(lens)[:-1] - 1] = True  # each track's first frame follows no frame
+    xs = _box_column(boxes)
+    if not ascending.all() or xs is None:
+        return None
+    coords = np.array(xs, dtype=np.float64).reshape(-1, 4)
+    masks = _mask_column(masks, (meta.height, meta.width))
+    if not np.isfinite(coords).all() or (coords[:, 2:] < 0).any() or masks is None:
+        return None
+    observations = list(map(TrackObservation, frames, _bboxes(xs), masks))
+    present_it = iter(present)
+    tracks: list[TrackRecord] = []
+    start = 0
+    for track_id, n, category_id, score in zip(ids, lens, cats, scores):
+        score = None if score is None else next(present_it)
+        tracks.append(TrackRecord(track_id, observations[start:start + n], category_id, score))
+        start += n
+    return tracks
+
+
 def _root_list(obj: Any, ctx: _Ctx, key: str) -> list | None:
     """The array under ``key`` of a root object whose only field is ``key``;
     None, with the issue filed on ``ctx``, when either is malformed."""
@@ -489,6 +684,11 @@ def _detections(
         for fi, fr_v in enumerate(frames_list):
             if release:
                 frames_list[fi] = None
+            frame = _frame_columns(fr_v, meta, prev_index)
+            if frame is not None:
+                frames.append(frame)
+                prev_index = frame.index
+                continue
             fpath = f"{spath}.frames[{fi}]"
             fr_obj = _obj(fr_v, fpath, ctx)
             if fr_obj is None:
@@ -574,6 +774,10 @@ def tracks_from_jsonable(obj: Any, lax: bool = False) -> tuple[list[SequenceTrac
     ctx = _Ctx(lax=lax)
     sequences: list[SequenceTracks] = []
     for spath, meta, tracks_list in _sequences(obj, ctx, "tracks"):
+        clean = _tracks_columns(tracks_list, meta)
+        if clean is not None:
+            sequences.append(SequenceTracks(meta=meta, tracks=clean))
+            continue
         seq_size = (meta.height, meta.width)
         tracks: list[TrackRecord] = []
         seen_ids: set[int] = set()

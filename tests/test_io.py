@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import letrack.io
 from letrack.cli import main
 from letrack.core import BBox, Detection, SequenceMeta, validate_sequence
 from letrack.io import (
@@ -101,8 +103,10 @@ def test_non_finite_rejected():
 
 
 def test_non_string_keys_rejected():
-    with pytest.raises(ValueError, match="keys must be strings"):
-        dumps_canonical({1: "x"})
+    # A key that cannot sort with the others is named too, not a TypeError.
+    for obj, key in [({1: "x"}, "1"), ({1: "x", "a": "y"}, "1"), ({None: 1, "a": 2}, "None")]:
+        with pytest.raises(ValueError, match=f"^object keys must be strings, got {key}$"):
+            dumps_canonical(obj)
 
 
 def test_unserializable_type_rejected():
@@ -863,7 +867,7 @@ def _corrupt(doc: dict, data) -> None:
     kind = data.draw(
         st.sampled_from(["counts", "box", "size", "runs", "emb", "dims", "key", "drop"])
     )
-    mask = item.get("mask", {})
+    mask = item.get("mask") or {}
     embs = [item[k] for k in ("app_emb", "cls_emb") if item.get(k)]
     if kind in ("counts", "box", "size"):
         target = item.get("box") if kind == "box" else mask.get(kind)
@@ -872,8 +876,11 @@ def _corrupt(doc: dict, data) -> None:
             target[i] = data.draw(st.sampled_from(_BAD_ELEMENTS))
     elif kind == "runs" and mask.get("counts"):
         counts = mask["counts"]
-        i = data.draw(st.integers(0, len(counts) - 1))
-        counts[i] = data.draw(st.sampled_from([0, -1, -7]))
+        if data.draw(st.booleans()):  # a zero-length interior run, the sum kept
+            counts.insert(data.draw(st.integers(1, len(counts))), 0)
+        else:
+            i = data.draw(st.integers(0, len(counts) - 1))
+            counts[i] = data.draw(st.sampled_from([0, -1, -7]))
     elif kind == "emb" and embs:
         emb = data.draw(st.sampled_from(embs))
         i = data.draw(st.integers(0, len(emb) - 1))
@@ -892,23 +899,76 @@ def _corrupt(doc: dict, data) -> None:
         item.pop(data.draw(st.sampled_from(sorted(item))))
 
 
+def _rewrite(doc: dict, data) -> bool:
+    """One rewrite that keeps the document valid: an int box coordinate or
+    score, -0.0 or 1e308, a null optional field, an empty ``detections`` or
+    ``tracks`` list, or (returned True, to be read lax) an unknown key."""
+    seq = doc["sequences"][0]
+    tracks = seq.get("tracks", [])
+    frames = seq.get("frames", [])
+    items = _items(doc)
+    kind = data.draw(st.sampled_from(["int", "-0.0", "1e308", "null", "empty", "key"]))
+    if kind == "key":
+        data.draw(st.sampled_from(_dicts(doc)))["extra"] = 1
+        return True
+    if kind == "empty":
+        if tracks:
+            tracks.clear()
+        elif frames:
+            data.draw(st.sampled_from(frames))["detections"] = []
+        return False
+    if not items:
+        return False
+    item = data.draw(st.sampled_from(items))
+    i = data.draw(st.integers(0, 3))
+    if kind == "int":
+        item["box"][i] = int(item["box"][i])
+        if "score" in item:
+            item["score"] = int(item["score"])
+        else:
+            data.draw(st.sampled_from(tracks))["score"] = 1
+    elif kind in ("-0.0", "1e308"):
+        item["box"][i] = float(kind)
+    else:
+        item["mask"] = None
+        if tracks:
+            data.draw(st.sampled_from(tracks))[data.draw(st.sampled_from(["category_id", "score"]))] = None
+    return False
+
+
+def _fields(v):
+    """A built value as nested tuples of each part's Python type and content,
+    an array by dtype, shape and bytes: ``1`` and ``1.0``, or ``0.0`` and
+    ``-0.0``, differ here though ``dumps_canonical`` writes them alike."""
+    if dataclasses.is_dataclass(v):
+        return (type(v).__name__, *(_fields(getattr(v, f.name)) for f in dataclasses.fields(v)))
+    if isinstance(v, np.ndarray):
+        return ("ndarray", v.dtype.str, v.shape, v.tobytes())
+    if isinstance(v, (list, tuple)):
+        return (type(v).__name__, *map(_fields, v))
+    return (type(v).__name__, repr(v))
+
+
 def _outcome(loader, to_jsonable, doc, lax):
     try:
         seqs, warnings = loader(doc, lax=lax)
     except SchemaError as exc:
         return "issues", exc.issues
-    return "ok", warnings, dumps_canonical(to_jsonable(seqs))
+    return "ok", warnings, _fields(seqs), dumps_canonical(to_jsonable(seqs))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_loaders_match_the_per_element_reference(data):
     dets_doc, tracks_doc, _ = _synth_docs(data.draw(st.integers(0, 30)))
     tracks = data.draw(st.booleans())
     doc = tracks_doc if tracks else dets_doc
-    for _ in range(data.draw(st.integers(1, 3))):
+    needs_lax = False
+    for _ in range(data.draw(st.integers(0, 2))):
+        needs_lax |= _rewrite(doc, data)
+    for _ in range(data.draw(st.integers(0, 3)) if _items(doc) else 0):
         _corrupt(doc, data)
-    lax = data.draw(st.booleans())
+    lax = needs_lax or data.draw(st.booleans())
     if tracks:
         loaders = (tracks_from_jsonable, tracks_from_jsonable_reference, tracks_to_jsonable)
     else:
@@ -918,6 +978,53 @@ def test_loaders_match_the_per_element_reference(data):
     got = _outcome(fast, to_jsonable, doc, lax)
     assert doc == before  # not mutated (a NaN compares equal to itself by identity)
     assert got == _outcome(reference, to_jsonable, doc, lax)
+
+
+def _walked(monkeypatch, loader, doc) -> tuple[list[str], object]:
+    """The paths ``loader`` reads ``doc``'s fields at through ``_field``, the
+    per-record walk's reader, and its issue list, or None."""
+    paths: list[str] = []
+    field = letrack.io._field
+
+    def spy(obj, key, path, *args, **kwargs):
+        paths.append(f"{path}.{key}")
+        return field(obj, key, path, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(letrack.io, "_field", spy)
+        try:
+            loader(doc)
+        except SchemaError as exc:
+            return paths, exc.issues
+    return paths, None
+
+
+def test_clean_units_are_built_without_the_per_record_walk(monkeypatch):
+    dets_doc, tracks_doc, _ = _synth_docs(5)
+    paths, _ = _walked(monkeypatch, detections_from_jsonable, dets_doc)
+    assert paths and not [p for p in paths if ".frames[" in p]
+    paths, _ = _walked(monkeypatch, tracks_from_jsonable, tracks_doc)
+    assert paths and not [p for p in paths if ".tracks[" in p]
+
+
+def test_a_faulty_unit_alone_is_walked(monkeypatch):
+    dets_doc, tracks_doc, _ = _synth_docs(5)
+    frames = dets_doc["sequences"][0]["frames"]
+    frames[1]["detections"][0]["score"] = "0.5"
+    paths, issues = _walked(monkeypatch, detections_from_jsonable, dets_doc)
+    with pytest.raises(SchemaError) as reference:
+        detections_from_jsonable_reference(dets_doc)
+    assert issues == reference.value.issues
+    assert {p.split(".")[1] for p in paths if ".frames[" in p} == {"frames[1]"}
+    second = copy.deepcopy(tracks_doc["sequences"][0])
+    second["name"] += "_b"
+    second["tracks"][0]["observations"][0]["box"][2] = -1
+    tracks_doc["sequences"].append(second)
+    paths, issues = _walked(monkeypatch, tracks_from_jsonable, tracks_doc)
+    with pytest.raises(SchemaError) as reference:
+        tracks_from_jsonable_reference(tracks_doc)
+    assert issues == reference.value.issues
+    assert {p.split(".")[0] for p in paths if ".tracks[" in p} == {"sequences[1]"}
 
 
 _DOUBLE_FIELDS = frozenset({"box", "score", "app_emb", "cls_emb", "prototype"})
